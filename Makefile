@@ -7,7 +7,7 @@ BENCH_BEFORE ?= benchdata/pr9_before.txt
 BENCH_AFTER ?= benchdata/pr9_after.txt
 BENCH_OUT ?= BENCH_PR9.json
 
-.PHONY: check vet fmt-check guard build test race fuzz fuzz-smoke bench bench-smoke trace-smoke chaos-smoke server-smoke crash-smoke parallel-smoke seed-smoke fuse-smoke
+.PHONY: check vet fmt-check guard build test perfbench race fuzz fuzz-smoke bench bench-smoke trace-smoke chaos-smoke server-smoke crash-smoke parallel-smoke seed-smoke fuse-smoke
 
 # check is the full pre-commit gate: static analysis, formatting, the
 # unified-stepper guard, build, the whole test suite, the race detector over
@@ -17,8 +17,9 @@ BENCH_OUT ?= BENCH_PR9.json
 # smoke test of the trace exporter, a seeded chaos smoke of the resilient
 # scheduling path, an end-to-end smoke of the sunstoned scheduler service
 # (submit, poll, drain under SIGTERM), and a kill-mid-search crash-recovery
-# smoke of the write-ahead journal.
-check: vet fmt-check guard build test race parallel-smoke seed-smoke fuse-smoke trace-smoke chaos-smoke server-smoke crash-smoke
+# smoke of the write-ahead journal, plus the vet and self-tests of the
+# perfbench module.
+check: vet fmt-check guard build test perfbench race parallel-smoke seed-smoke fuse-smoke trace-smoke chaos-smoke server-smoke crash-smoke
 
 vet:
 	$(GO) vet ./...
@@ -29,8 +30,9 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# guard enforces that the direction-specific entry points stay merged: no
-# code outside the unified level sequencer may call bottomUp/topDown.
+# guard enforces that the direction-specific entry points stay merged (no
+# code outside the unified level sequencer may call bottomUp/topDown) and
+# that the removed solve/schedule entry points are not declared again.
 guard:
 	./scripts/guard-stepper.sh
 
@@ -39,6 +41,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench vets and self-tests the benchmark harness. It is its own Go
+# module, so the root ./... patterns never compile it even though it calls
+# the core, server and journal APIs.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # race exercises the goroutine-heavy paths — the core evaluation fan-out and
 # its cancellation/panic-isolation tests, the resilient retry/fallback loop
@@ -68,9 +76,8 @@ seed-smoke:
 # fuse-smoke pins the fusion-aware network scheduler's acceptance contract:
 # the fused schedule never scores worse EDP than the per-layer baseline
 # solved in the same run, the chosen groups tile the chain, and turning
-# fusion off (max group 1) is bit-identical to the per-layer scheduler —
-# plus the strict-improvement case on the transformer chain in
-# internal/core.
+# fusion off (max group 1) returns exactly that baseline — plus the
+# strict-improvement case on the transformer chain in internal/core.
 fuse-smoke:
 	$(GO) test -run 'TestFuseSmoke' -count 1 .
 	$(GO) test -run 'TestFusedBeatsUnfused|TestFusedMaxGroupOneIsUnfused' -count 1 ./internal/core/

@@ -68,9 +68,9 @@ func auditLayer(t *testing.T, run int, l sunstone.LayerSchedule) {
 // 30% uniform fault rate across every injection site (compile errors and
 // panics, expansion panics, evaluation panics and latency, memo-read
 // corruption, progress-callback panics), every layer of every seeded
-// ScheduleNetworkContext run still comes back with an audit-passing mapping
-// and a coherent attempt record. The injector is seeded per run, so a failure
-// reproduces by its run number.
+// ScheduleNetwork run (one layer per group, Options.Retry set) still comes
+// back with an audit-passing mapping and a coherent attempt record. The
+// injector is seeded per run, so a failure reproduces by its run number.
 func TestChaosGuarantee(t *testing.T) {
 	runs := 200
 	if testing.Short() {
@@ -78,16 +78,15 @@ func TestChaosGuarantee(t *testing.T) {
 	}
 	shapes := chaosNet()
 	a := sunstone.Tiny(256)
-	opt := sunstone.NetworkOptions{
-		Options:    sunstone.Options{BeamWidth: 4, TilesPerStep: 4, UnrollsPerStep: 3, Threads: 2},
-		Resilience: &sunstone.RetryPolicy{},
-	}
+	opt := sunstone.NetworkOptions{Options: sunstone.Options{
+		BeamWidth: 4, TilesPerStep: 4, UnrollsPerStep: 3, Threads: 2,
+		Retry: &sunstone.RetryPolicy{},
+	}}
 
 	var fellBack, retried int
 	for run := 0; run < runs; run++ {
 		restore := faults.Activate(faults.NewUniform(int64(run), 0.3))
-		sched, err := sunstone.ScheduleNetworkContext(context.Background(),
-			fmt.Sprintf("chaos-%d", run), shapes, 1, nil, a, opt)
+		sched, err := scheduleShapes(t, context.Background(), shapes, a, opt)
 		restore() // disarm before re-auditing, so the checks themselves are clean
 		if err != nil {
 			t.Fatalf("run %d: schedule failed under 30%% injection: %v", run, err)
@@ -128,14 +127,14 @@ func TestChaosGuarantee(t *testing.T) {
 func TestChaosDeterministic(t *testing.T) {
 	shapes := chaosNet()[:1]
 	a := sunstone.Tiny(256)
-	opt := sunstone.NetworkOptions{
-		Options:    sunstone.Options{BeamWidth: 4, TilesPerStep: 4, UnrollsPerStep: 3, Threads: 1},
-		Resilience: &sunstone.RetryPolicy{Fallbacks: []string{"innermost-fit"}},
-	}
+	opt := sunstone.NetworkOptions{Options: sunstone.Options{
+		BeamWidth: 4, TilesPerStep: 4, UnrollsPerStep: 3, Threads: 1,
+		Retry: &sunstone.RetryPolicy{Fallbacks: []string{"innermost-fit"}},
+	}}
 	shape := func(seed int64) string {
 		restore := faults.Activate(faults.NewUniform(seed, 0.3))
 		defer restore()
-		sched, err := sunstone.ScheduleNetworkContext(context.Background(), "det", shapes, 1, nil, a, opt)
+		sched, err := scheduleShapes(t, context.Background(), shapes, a, opt)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -66,8 +66,8 @@ var (
 )
 
 // resiliencePolicy translates -retries/-fallback into the RetryPolicy for the
-// graceful-degradation path; nil means the flags were not used and searches
-// take the legacy single-attempt path.
+// graceful-degradation path (Options.Retry); nil means the flags were not
+// used and searches take the plain single-attempt path.
 func resiliencePolicy() *sunstone.RetryPolicy {
 	if *retries <= 0 && *fallback == "" {
 		return nil
@@ -247,6 +247,7 @@ func main() {
 	opt := sunstone.Options{
 		BeamWidth: *beam, Threads: *threads, Timeout: *timeout, Progress: progressTicker(),
 		Analytical: &sunstone.AnalyticalOptions{Seed: *seedOn, Bounds: *boundsOn},
+		Retry:      resiliencePolicy(),
 	}
 	if *topDown {
 		opt.Direction = sunstone.TopDown
@@ -264,12 +265,7 @@ func main() {
 		fatal(fmt.Errorf("unknown objective %q", *objective))
 	}
 	ctx, flushTrace := searchContext()
-	var res sunstone.Result
-	if pol := resiliencePolicy(); pol != nil {
-		res, err = eng.OptimizeResilient(ctx, w, a, opt, *pol)
-	} else {
-		res, err = eng.OptimizeContext(ctx, w, a, opt)
-	}
+	res, err := eng.Solve(ctx, sunstone.Problem{Workload: w, Arch: a}, opt)
 	if err != nil {
 		fatal(err)
 	}
@@ -362,8 +358,9 @@ func main() {
 	flushTrace()
 }
 
-// runAllLayers schedules the whole -net table through eng and prints network
-// totals; repeated shapes compile their problem artifacts once.
+// runAllLayers schedules the whole -net table through eng and prints one
+// row per chain position plus network totals; repeated shapes compile their
+// problem artifacts once. Without -fuse every layer is its own group.
 func runAllLayers(eng *sunstone.Engine) {
 	a, err := pickArch(*archName)
 	if err != nil {
@@ -388,31 +385,27 @@ func runAllLayers(eng *sunstone.Engine) {
 	default:
 		fatal(fmt.Errorf("-all-layers needs -net resnet18|inception|alexnet|vgg16|transformer"))
 	}
+	if irNet == nil {
+		irNet, err = sunstone.FromConvShapes(*net, table, *batch, repeats)
+		if err != nil {
+			fatal(err)
+		}
+	}
 	nopt := sunstone.NetworkOptions{
 		Options: sunstone.Options{
 			Threads: *threads, Timeout: *timeout, Progress: progressTicker(),
 			Analytical: &sunstone.AnalyticalOptions{Seed: *seedOn, Bounds: *boundsOn},
+			Retry:      resiliencePolicy(),
 		},
+		MaxGroup:        1,
 		ContinueOnError: *contErr,
-		Resilience:      resiliencePolicy(),
+	}
+	if *fuse {
+		nopt.MaxGroup = *maxGroup
 	}
 	ctx, flushTrace := searchContext()
-	var sched sunstone.NetworkSchedule
-	switch {
-	case *fuse:
-		if irNet == nil {
-			irNet, err = sunstone.FromConvShapes(*net, table, *batch, repeats)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		sched, err = eng.ScheduleNetworkFused(ctx, irNet, a, nopt, sunstone.FusionOptions{MaxGroup: *maxGroup})
-	case irNet != nil:
-		sched, err = eng.ScheduleNetworkIR(ctx, irNet, a, nopt)
-	default:
-		sched, err = eng.ScheduleNetworkContext(ctx, *net, table, *batch, repeats, a, nopt)
-	}
-	fmt.Printf("%-12s %-3s %-12s %-12s %s\n", "layer", "x", "EDP", "energy pJ", "cycles")
+	sched, err := eng.ScheduleNetwork(ctx, irNet, a, nopt)
+	fmt.Printf("%-12s %-12s %-12s %s\n", "layer", "EDP", "energy pJ", "cycles")
 	for _, l := range sched.Layers {
 		if l.Err != nil {
 			fmt.Printf("%-12s FAILED: %v\n", l.Layer, l.Err)
@@ -427,10 +420,10 @@ func runAllLayers(eng *sunstone.Engine) {
 		} else if len(l.Result.Attempts) > 1 {
 			note += fmt.Sprintf("  [%d attempts]", len(l.Result.Attempts))
 		}
-		fmt.Printf("%-12s %-3d %-12.3e %-12.3e %.0f%s\n",
-			l.Layer, l.Repeats, l.Result.Report.EDP, l.Result.Report.EnergyPJ, l.Result.Report.Cycles, note)
+		fmt.Printf("%-12s %-12.3e %-12.3e %.0f%s\n",
+			l.Layer, l.Result.Report.EDP, l.Result.Report.EnergyPJ, l.Result.Report.Cycles, note)
 	}
-	if sched.Fused {
+	if *fuse && err == nil {
 		fmt.Printf("\nfusion cut (%d groups):\n", len(sched.Groups))
 		for _, g := range sched.Groups {
 			kind := "unfused"

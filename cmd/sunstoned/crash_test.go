@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"sunstone"
+	"sunstone/internal/server"
 )
 
 // startDaemon launches a built sunstoned binary with extra flags and waits
@@ -130,7 +130,7 @@ func TestCrashRecoverySmoke(t *testing.T) {
 		t.Fatalf("recovered %d jobs, want 1", n)
 	}
 	fin := pollUntilTerminal(t, base2, slow.ID, 150*time.Second)
-	if fin.State != sunstone.JobDone {
+	if fin.State != server.JobDone {
 		t.Fatalf("recovered job: state %q (error %q, cause %q)", fin.State, fin.Error, fin.Cause)
 	}
 	if !fin.Recovered {
@@ -153,7 +153,7 @@ func TestCrashRecoverySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var list struct {
-		Jobs []sunstone.JobStatus `json:"jobs"`
+		Jobs []server.JobStatus `json:"jobs"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestCrashRecoverySmoke(t *testing.T) {
 	waitExit(t, cmd2, "second daemon")
 	cmd3, base3 := startDaemon(t, bin, durableFlags...)
 	again := pollStatus(t, base3, slow.ID)
-	if again.State != sunstone.JobDone || again.EDP != fin.EDP {
+	if again.State != server.JobDone || again.EDP != fin.EDP {
 		t.Fatalf("terminal record drifted across restart: %q/%g vs done/%g",
 			again.State, again.EDP, fin.EDP)
 	}

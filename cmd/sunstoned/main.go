@@ -41,8 +41,10 @@ import (
 	"syscall"
 	"time"
 
-	"sunstone"
+	"sunstone/internal/core"
 	"sunstone/internal/faults"
+	"sunstone/internal/journal"
+	"sunstone/internal/server"
 )
 
 var (
@@ -85,10 +87,10 @@ func run() error {
 		log.Printf("fault injection armed (%s)", *faultSpec)
 	}
 
-	var jr *sunstone.Journal
+	var jr *journal.Journal
 	if *dataDir != "" {
 		var err error
-		jr, err = sunstone.OpenJournal(sunstone.JournalOptions{
+		jr, err = journal.Open(journal.Options{
 			Dir:          *dataDir,
 			SegmentBytes: *segmentBytes,
 			Fsync:        *fsyncPolicy,
@@ -102,8 +104,8 @@ func run() error {
 			*dataDir, st.Replayed, st.CorruptTruncated, st.CorruptQuarantined)
 	}
 
-	eng := sunstone.NewEngineSize(*engineCache)
-	srv := eng.NewServer(sunstone.ServerConfig{
+	srv := server.New(server.Config{
+		Engine:          core.NewEngine(*engineCache),
 		Workers:         *workers,
 		QueueDepth:      *queueDepth,
 		TenantRate:      *tenantRate,

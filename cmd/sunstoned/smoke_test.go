@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"sunstone"
+	"sunstone/internal/server"
 )
 
 // TestServerSmoke is the `make server-smoke` gate: build the real sunstoned
@@ -77,7 +77,7 @@ func TestServerSmoke(t *testing.T) {
 	quick := submitJob(t, base, `{"tenant":"smoke","arch":"tiny","timeout_ms":20000,
 		"conv":{"K":2,"C":2,"P":3,"Q":3,"R":2,"S":2}}`)
 	fin := pollUntilTerminal(t, base, quick.ID, 30*time.Second)
-	if fin.State != sunstone.JobDone || len(fin.Mapping) == 0 {
+	if fin.State != server.JobDone || len(fin.Mapping) == 0 {
 		t.Fatalf("quick job: state %q, mapping %d bytes (error %q)", fin.State, len(fin.Mapping), fin.Error)
 	}
 
@@ -85,7 +85,7 @@ func TestServerSmoke(t *testing.T) {
 	// mid-search when the daemon is told to drain.
 	slow := submitJob(t, base, `{"tenant":"smoke","arch":"conventional","timeout_ms":120000,
 		"conv":{"N":16,"K":64,"C":64,"P":28,"Q":28,"R":3,"S":3}}`)
-	for st := slow; st.State != sunstone.JobRunning; {
+	for st := slow; st.State != server.JobRunning; {
 		st = pollStatus(t, base, slow.ID)
 		if st.State.Terminal() {
 			t.Fatalf("slow job finished before the drain could interrupt it: %q", st.State)
@@ -100,7 +100,7 @@ func TestServerSmoke(t *testing.T) {
 		t.Fatalf("events stream: %v", err)
 	}
 	defer sseResp.Body.Close()
-	terminal := make(chan sunstone.JobEvent, 1)
+	terminal := make(chan server.Event, 1)
 	go func() {
 		if ev, ok := readTerminalEvent(sseResp.Body); ok {
 			terminal <- ev
@@ -117,7 +117,7 @@ func TestServerSmoke(t *testing.T) {
 		if !ok {
 			t.Fatal("SSE stream ended without a terminal event")
 		}
-		if ev.Job == nil || ev.Job.State != sunstone.JobDone {
+		if ev.Job == nil || ev.Job.State != server.JobDone {
 			t.Fatalf("drained job terminal event: %+v", ev.Job)
 		}
 		if len(ev.Job.Mapping) == 0 {
@@ -142,7 +142,7 @@ func TestServerSmoke(t *testing.T) {
 	}
 }
 
-func submitJob(t *testing.T, base, body string) sunstone.JobStatus {
+func submitJob(t *testing.T, base, body string) server.JobStatus {
 	t.Helper()
 	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -153,28 +153,28 @@ func submitJob(t *testing.T, base, body string) sunstone.JobStatus {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, b)
 	}
-	var st sunstone.JobStatus
+	var st server.JobStatus
 	if err := json.Unmarshal(b, &st); err != nil {
 		t.Fatalf("submit response: %v (%s)", err, b)
 	}
 	return st
 }
 
-func pollStatus(t *testing.T, base, id string) sunstone.JobStatus {
+func pollStatus(t *testing.T, base, id string) server.JobStatus {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st sunstone.JobStatus
+	var st server.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatalf("poll %s: %v", id, err)
 	}
 	return st
 }
 
-func pollUntilTerminal(t *testing.T, base, id string, budget time.Duration) sunstone.JobStatus {
+func pollUntilTerminal(t *testing.T, base, id string, budget time.Duration) server.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(budget)
 	for time.Now().Before(deadline) {
@@ -184,12 +184,12 @@ func pollUntilTerminal(t *testing.T, base, id string, budget time.Duration) suns
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached a terminal state", id)
-	return sunstone.JobStatus{}
+	return server.JobStatus{}
 }
 
 // readTerminalEvent scans an SSE stream until the "done" event and returns
 // its decoded payload.
-func readTerminalEvent(r io.Reader) (sunstone.JobEvent, bool) {
+func readTerminalEvent(r io.Reader) (server.Event, bool) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var event, data string
@@ -201,7 +201,7 @@ func readTerminalEvent(r io.Reader) (sunstone.JobEvent, bool) {
 		case strings.HasPrefix(line, "data: "):
 			data = strings.TrimPrefix(line, "data: ")
 		case line == "" && event == "done":
-			var ev sunstone.JobEvent
+			var ev server.Event
 			if err := json.Unmarshal([]byte(data), &ev); err != nil {
 				fmt.Println("bad terminal event:", err)
 				return ev, false
@@ -209,5 +209,5 @@ func readTerminalEvent(r io.Reader) (sunstone.JobEvent, bool) {
 			return ev, true
 		}
 	}
-	return sunstone.JobEvent{}, false
+	return server.Event{}, false
 }

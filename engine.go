@@ -12,13 +12,13 @@ import (
 // expensive per-(workload, architecture, cost model) compilation artifacts —
 // the pruned ordering trie, the factor/divisor ladder tables, the fit-check
 // capacity skeleton, and the fast-path cost session with its search-wide
-// evaluation memo — across calls. The first Optimize for a problem shape
+// evaluation memo — across calls. The first Solve for a problem shape
 // compiles it; every later call on the same shape (same Engine) reuses the
 // compiled artifacts and the warmed evaluation cache, which is the common
 // case when scheduling a network whose layers repeat or when sweeping options
 // over one layer.
 //
-// The zero-cost alternative remains: the package-level Optimize builds the
+// The zero-cost alternative remains: the package-level Solve builds the
 // same artifacts per call. An Engine never changes *what* is found — results
 // are identical to the per-call path, only faster when shapes repeat.
 //
@@ -45,32 +45,12 @@ type EngineStats = core.EngineStats
 func (e *Engine) Stats() EngineStats { return e.core.Stats() }
 
 // Solve runs the Sunstone optimizer on a Problem under ctx through the
-// Engine's compilation cache, with the same anytime contract as the
-// package-level SolveContext. This is the canonical Engine entry point;
-// the cache key is derived from the Problem's content (workload, arch,
-// cost model), never from pointer identity.
+// Engine's compilation cache, with the same anytime contract (and the same
+// Options.Retry handling) as the package-level Solve. The cache key is
+// derived from the Problem's content (workload, arch, cost model), never
+// from pointer identity.
 func (e *Engine) Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 	return e.core.Solve(ctx, p, opt)
-}
-
-// Optimize runs the Sunstone optimizer through the Engine's compilation
-// cache. It is OptimizeContext with a background context; Options.Timeout
-// still bounds the wall-clock.
-//
-// Deprecated-style note: Engine.Solve with a Problem is the canonical entry
-// point; this wrapper remains for positional-argument callers.
-func (e *Engine) Optimize(w *Workload, a *Arch, opt Options) (Result, error) {
-	return e.core.Optimize(w, a, opt)
-}
-
-// OptimizeContext runs the Sunstone optimizer under ctx through the Engine's
-// compilation cache, with the same anytime contract as the package-level
-// OptimizeContext.
-//
-// Deprecated-style note: Engine.Solve with a Problem is the canonical entry
-// point; this wrapper remains for positional-argument callers.
-func (e *Engine) OptimizeContext(ctx context.Context, w *Workload, a *Arch, opt Options) (Result, error) {
-	return e.core.OptimizeContext(ctx, w, a, opt)
 }
 
 // Baselines returns the same ordered prior-art registry as the package-level

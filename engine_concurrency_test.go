@@ -1,6 +1,7 @@
 package sunstone_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestEngineSharedAcrossGoroutines(t *testing.T) {
 			defer wg.Done()
 			for c := 0; c < callsPerGoroutine; c++ {
 				w := shapes[(g+c)%len(shapes)]
-				res, err := eng.Optimize(w, a, sunstone.Options{})
+				res, err := eng.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
 				if err != nil {
 					t.Errorf("goroutine %d call %d (%s): %v", g, c, w.Name, err)
 					return
@@ -79,14 +80,17 @@ func TestEngineSharedAcrossGoroutines(t *testing.T) {
 // recompiling per layer.
 func TestEngineScheduleNetwork(t *testing.T) {
 	eng := sunstone.NewEngine()
-	shapes := sunstone.ResNet18Layers[:2]
-	sched, err := eng.ScheduleNetwork("head", shapes, 1, []int{1, 2},
-		sunstone.Conventional(), sunstone.Options{})
+	net, err := sunstone.FromConvShapes("head", sunstone.ResNet18Layers[:2], 1, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sched.Layers) != 2 {
-		t.Fatalf("layers = %d", len(sched.Layers))
+	opt := sunstone.NetworkOptions{MaxGroup: 1}
+	sched, err := eng.ScheduleNetwork(context.Background(), net, sunstone.Conventional(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sched.Layers) != 3 {
+		t.Fatalf("layers = %d, want one per chain position", len(sched.Layers))
 	}
 	for _, l := range sched.Layers {
 		if !l.Result.Report.Valid {
@@ -99,8 +103,7 @@ func TestEngineScheduleNetwork(t *testing.T) {
 	}
 
 	// Rescheduling the same network on the same Engine is fully warm.
-	if _, err := eng.ScheduleNetwork("head", shapes, 1, []int{1, 2},
-		sunstone.Conventional(), sunstone.Options{}); err != nil {
+	if _, err := eng.ScheduleNetwork(context.Background(), net, sunstone.Conventional(), opt); err != nil {
 		t.Fatal(err)
 	}
 	if s2 := eng.Stats(); s2.Compiles != s.Compiles {

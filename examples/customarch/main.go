@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -63,7 +64,7 @@ func main() {
 	fmt.Println(w)
 	fmt.Println()
 
-	res, err := sunstone.Optimize(w, a, sunstone.Options{})
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -17,7 +18,7 @@ func main() {
 	layer := sunstone.ResNet18Layers[1] // conv2_x: 64x64, 56x56, 3x3
 	w := layer.Inference(1)
 
-	res, err := sunstone.Optimize(w, a, sunstone.Options{})
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

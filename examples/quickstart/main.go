@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 	// A two-level machine: a 64-word unified L1 over a single MAC, then DRAM.
 	a := sunstone.Tiny(64)
 
-	res, err := sunstone.Optimize(w, a, sunstone.Options{})
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

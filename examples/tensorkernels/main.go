@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 	kernels = append(kernels, custom)
 
 	for _, w := range kernels {
-		res, err := sunstone.Optimize(w, a, sunstone.Options{})
+		res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
 		if err != nil {
 			log.Fatalf("%s: %v", w.Name, err)
 		}

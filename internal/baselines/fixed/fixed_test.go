@@ -49,7 +49,7 @@ func TestStationaryOperandIsResident(t *testing.T) {
 func TestSearchedBeatsFixed(t *testing.T) {
 	w := workloads.ResNet18[1].Inference(4)
 	a := arch.Conventional()
-	sun, err := core.Optimize(w, a, core.Options{})
+	sun, err := core.Solve(core.Problem{Workload: w, Arch: a}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

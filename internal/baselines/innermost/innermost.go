@@ -11,7 +11,7 @@
 // mapping at all, this mapper returns a legal mapping; the greedy growth only
 // ever replaces it with another validated mapping.
 //
-// That guarantee is what the retry/degradation path (core.OptimizeResilient)
+// That guarantee is what the retry/degradation path (core.Options.Retry)
 // leans on: when the primary search and the random fallback both keep
 // failing — injected chaos faults, poisoned cost models, expired deadlines —
 // innermost-fit still produces an audit-passing mapping. It therefore

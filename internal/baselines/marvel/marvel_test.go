@@ -33,7 +33,7 @@ func TestDecouplingCostsQuality(t *testing.T) {
 	if !mv.Valid {
 		t.Fatalf("marvel invalid: %s", mv.InvalidReason)
 	}
-	sun, err := core.Optimize(w, a, core.Options{})
+	sun, err := core.Solve(core.Problem{Workload: w, Arch: a}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func All() []Entry {
 }
 
 // Fallbacks returns the degraded-mode mappers the resilient scheduling path
-// (core.OptimizeResilient) falls back to when the primary search keeps
+// (core.Options.Retry) falls back to when the primary search keeps
 // failing: a deliberately short Timeloop-style random sweep, then the
 // guaranteed-feasible innermost-fit construction. They are not part of the
 // paper's comparison set, so All() excludes them — experiment drivers and

@@ -12,12 +12,12 @@ import (
 func TestAnalyticalOffDeterministic(t *testing.T) {
 	w := conv2D(t, 4, 64, 64, 28, 28, 3, 3)
 	opt := Options{Analytical: &AnalyticalOptions{}}
-	first, err := Optimize(w, arch.Simba(), opt)
+	first, err := Solve(Problem{Workload: w, Arch: arch.Simba()}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		res, err := Optimize(w, arch.Simba(), opt)
+		res, err := Solve(Problem{Workload: w, Arch: arch.Simba()}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,11 +35,11 @@ func TestAnalyticalOffDeterministic(t *testing.T) {
 // fewer candidates — the PR's acceptance bar.
 func TestAnalyticalOnEqualOrBetter(t *testing.T) {
 	w := conv2D(t, 4, 64, 64, 28, 28, 3, 3)
-	off, err := Optimize(w, arch.Simba(), Options{Analytical: &AnalyticalOptions{}})
+	off, err := Solve(Problem{Workload: w, Arch: arch.Simba()}, Options{Analytical: &AnalyticalOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := Optimize(w, arch.Simba(), Options{})
+	on, err := Solve(Problem{Workload: w, Arch: arch.Simba()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestAnalyticalDefaultsOn(t *testing.T) {
 		t.Fatalf("DefaultOptions.Analytical = %+v, want both toggles on", def.Analytical)
 	}
 	w := conv1D(t, 16, 16, 28, 3)
-	res, err := Optimize(w, arch.Tiny(256), Options{})
+	res, err := Solve(Problem{Workload: w, Arch: arch.Tiny(256)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestAnalyticalSeedEDPParity(t *testing.T) {
 		{"diannao", arch.DianNao},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			off, err := Optimize(w, tc.a(), Options{Analytical: &AnalyticalOptions{}})
+			off, err := Solve(Problem{Workload: w, Arch: tc.a()}, Options{Analytical: &AnalyticalOptions{}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			on, err := Optimize(w, tc.a(), Options{})
+			on, err := Solve(Problem{Workload: w, Arch: tc.a()}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,8 +104,8 @@ func TestAnalyticalSeedEDPParity(t *testing.T) {
 	}
 }
 
-// TestSolveProblemAPI: the Problem-based entry points agree with the
-// positional wrappers, and Problem.Model overrides Options.Model.
+// TestSolveProblemAPI: the package-level and Engine entry points agree, the
+// Engine caches by Problem content, and an empty Problem fails validation.
 func TestSolveProblemAPI(t *testing.T) {
 	w := conv1D(t, 16, 16, 28, 3)
 	a := arch.Tiny(256)
@@ -113,15 +113,6 @@ func TestSolveProblemAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaOptimize, err := Optimize(w, a, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaSolve.Report.EDP != viaOptimize.Report.EDP ||
-		viaSolve.Mapping.String() != viaOptimize.Mapping.String() {
-		t.Fatalf("Solve and Optimize disagree: %g vs %g", viaSolve.Report.EDP, viaOptimize.Report.EDP)
-	}
-
 	eng := NewEngine(0)
 	viaEngine, err := eng.Solve(t.Context(), Problem{Workload: w, Arch: a}, Options{})
 	if err != nil {

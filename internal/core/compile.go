@@ -17,7 +17,7 @@ import (
 // costs one ordering-trie enumeration, one cost-session plan, the fit-check
 // capacity skeleton, and an empty factor-ladder memo — work that today's
 // serving-shaped callers (network scheduling, figure sweeps, -compare) would
-// otherwise repeat on every Optimize call for the same problem.
+// otherwise repeat on every Solve call for the same problem.
 //
 // A Compiled is immutable after Compile returns and safe for any number of
 // concurrent searches: the ordering set and fit skeleton are read-only, and

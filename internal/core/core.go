@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"sunstone/internal/anytime"
-	"sunstone/internal/arch"
 	"sunstone/internal/cost"
 	"sunstone/internal/mapping"
 	"sunstone/internal/obs"
@@ -44,7 +43,7 @@ import (
 )
 
 // StopReason re-exports the anytime-search stop taxonomy (see
-// internal/anytime): every Optimize entry point is an anytime algorithm that
+// internal/anytime): every search entry point is an anytime algorithm that
 // on cancellation, deadline, or budget exhaustion returns the best mapping
 // completed so far with Result.Stopped set, instead of discarding work.
 type StopReason = anytime.StopReason
@@ -213,14 +212,14 @@ type Options struct {
 	// Timeout bounds the search wall-clock (0 = unbounded). When it
 	// expires the search stops at the next cancellation poll and returns
 	// the best mapping completed so far with Result.Stopped = StopDeadline.
-	// Equivalent to passing OptimizeContext a context with that deadline.
+	// Equivalent to passing Solve a context with that deadline.
 	Timeout time.Duration
 	// Progress, when non-nil, receives live search events: phase-started /
 	// phase-finished for every per-level pass (and polish), and
 	// incumbent-improved whenever the best-so-far completed mapping gets
 	// better. Events are emitted synchronously from the goroutine driving
 	// the search, incumbent improvements at a bounded rate; no event is
-	// delivered after OptimizeContext returns. A panicking callback is
+	// delivered after Solve returns. A panicking callback is
 	// isolated like a poisoned candidate: progress reporting stops, the
 	// panic is recorded in Result.CandidateErrors, and the search itself
 	// continues unharmed.
@@ -239,6 +238,12 @@ type Options struct {
 	// never fails the run. The resumed search therefore finishes equal or
 	// better than the checkpoint, never worse.
 	WarmStart *mapping.Mapping
+	// Retry, when non-nil, routes the search through the graceful-
+	// degradation path (see Engine.Solve): bounded primary retries with
+	// budget backoff, then the policy's fallback-mapper chain, every
+	// accepted mapping passing the final audit. Nil is the plain
+	// single-attempt search.
+	Retry *RetryPolicy
 }
 
 // AnalyticalOptions groups the knobs of the analytical layer: the one-shot
@@ -282,7 +287,7 @@ const MaxThreads = 4096
 // silently accepted but can never be what the caller meant: NaN or negative
 // floats, MinUtilization above 1 (no unrolling can exceed full utilization),
 // and absurd Threads/BeamWidth magnitudes. Zero values remain "use the
-// default" and are always accepted. Optimize calls this on every run.
+// default" and are always accepted. Solve calls this on every run.
 func (o Options) Validate() error {
 	var errs []error
 	badf := func(name string, v float64) {
@@ -329,8 +334,8 @@ func (o Options) Validate() error {
 
 // DefaultOptions returns the optimizer's default configuration, spelled out.
 // The zero Options value is exactly equivalent: every zero field is filled
-// from this set before a search runs, so Optimize(w, a, Options{}) and
-// Optimize(w, a, DefaultOptions()) perform the identical search. Use this
+// from this set before a search runs, so Solve(p, Options{}) and
+// Solve(p, DefaultOptions()) perform the identical search. Use this
 // when you want to start from the defaults and tweak one knob explicitly.
 func DefaultOptions() Options {
 	return Options{
@@ -416,7 +421,7 @@ type Result struct {
 	Elapsed time.Duration
 	// Attempts records every attempt the resilient path made before this
 	// result was accepted, in order — the accepted attempt last with a nil
-	// Err. Nil for the plain (non-resilient) entry points.
+	// Err. Nil when Options.Retry is nil.
 	Attempts []Attempt
 	// FallbackUsed names the fallback mapper that produced Mapping when the
 	// resilient path degraded ("" = the primary Sunstone search).
@@ -436,28 +441,6 @@ type Result struct {
 // panicking cost model cannot balloon memory; further panics are dropped
 // after the first few identical repros.
 const maxCandidateErrors = 8
-
-// Optimize searches for the best mapping of w onto a. It is
-// OptimizeContext with a background context; Options.Timeout still applies.
-//
-// Deprecated-style note: Solve with a Problem is the canonical entry point;
-// this wrapper remains for positional-argument callers.
-func Optimize(w *tensor.Workload, a *arch.Arch, opt Options) (Result, error) {
-	return SolveContext(context.Background(), Problem{Workload: w, Arch: a}, opt)
-}
-
-// OptimizeContext searches for the best mapping of w onto a under ctx.
-// The search is an *anytime* algorithm: it polls ctx at bounded intervals,
-// and on cancellation or deadline (from ctx or Options.Timeout) it stops
-// within one polling interval and returns the best completed mapping seen so
-// far with Result.Stopped set — a nil error as long as at least one valid
-// mapping was completed before the signal.
-//
-// Deprecated-style note: SolveContext with a Problem is the canonical entry
-// point; this wrapper remains for positional-argument callers.
-func OptimizeContext(ctx context.Context, w *tensor.Workload, a *arch.Arch, opt Options) (Result, error) {
-	return SolveContext(ctx, Problem{Workload: w, Arch: a}, opt)
-}
 
 // optimizeCompiled runs one search over a compiled problem. opt must already
 // be validated and defaulted. This is the single execution path: the per-call

@@ -47,7 +47,7 @@ func conv1D(t testing.TB, k, c, p, r int) *tensor.Workload {
 func TestOptimizeTinyConv(t *testing.T) {
 	w := conv1D(t, 8, 8, 56, 3)
 	a := arch.Tiny(256)
-	res, err := Optimize(w, a, Options{})
+	res, err := Solve(Problem{Workload: w, Arch: a}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestOptimizeTinyConv(t *testing.T) {
 func TestOptimizeUsesSpatialFanout(t *testing.T) {
 	w := conv2D(t, 1, 32, 32, 16, 16, 3, 3)
 	a := arch.TinySpatial(512, 1<<18, 16)
-	res, err := Optimize(w, a, Options{})
+	res, err := Solve(Problem{Workload: w, Arch: a}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestOptimizeUsesSpatialFanout(t *testing.T) {
 func TestOptimizeConventional(t *testing.T) {
 	w := conv2D(t, 1, 16, 16, 14, 14, 3, 3)
 	a := arch.Conventional()
-	res, err := Optimize(w, a, Options{})
+	res, err := Solve(Problem{Workload: w, Arch: a}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestOptimizeSimbaMultiLevelSpatial(t *testing.T) {
 	// multiple spatial levels (Simba) out of the box.
 	w := conv2D(t, 1, 64, 64, 8, 8, 3, 3)
 	a := arch.Simba()
-	res, err := Optimize(w, a, Options{})
+	res, err := Solve(Problem{Workload: w, Arch: a}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestOptimizeSimbaMultiLevelSpatial(t *testing.T) {
 func TestOptimizeDeterministic(t *testing.T) {
 	w := conv1D(t, 8, 8, 28, 3)
 	a := arch.TinySpatial(256, 1<<16, 4)
-	r1, err1 := Optimize(w, a, Options{})
-	r2, err2 := Optimize(w, a, Options{})
+	r1, err1 := Solve(Problem{Workload: w, Arch: a}, Options{})
+	r2, err2 := Solve(Problem{Workload: w, Arch: a}, Options{})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -143,11 +143,11 @@ func TestTopDownVsBottomUp(t *testing.T) {
 	// the same ballpark.
 	w := conv1D(t, 16, 16, 28, 3)
 	a := arch.TinySpatial(512, 1<<16, 16)
-	bu, err := Optimize(w, a, Options{Direction: BottomUp})
+	bu, err := Solve(Problem{Workload: w, Arch: a}, Options{Direction: BottomUp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	td, err := Optimize(w, a, Options{Direction: TopDown, TopDownVisitBudget: 30_000})
+	td, err := Solve(Problem{Workload: w, Arch: a}, Options{Direction: TopDown, TopDownVisitBudget: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestIntraLevelStrategies(t *testing.T) {
 	var edps []float64
 	var sizes []int
 	for _, s := range []Strategy{OrderTileUnroll, TileUnrollOrder, UnrollTileOrder} {
-		res, err := Optimize(w, a, Options{Strategy: s})
+		res, err := Solve(Problem{Workload: w, Arch: a}, Options{Strategy: s})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -201,7 +201,7 @@ func TestOptimizeMTTKRP(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := arch.TinySpatial(1024, 1<<18, 16)
-	res, optErr := Optimize(w, a, Options{})
+	res, optErr := Solve(Problem{Workload: w, Arch: a}, Options{})
 	if optErr != nil {
 		t.Fatal(optErr)
 	}
@@ -213,11 +213,11 @@ func TestOptimizeMTTKRP(t *testing.T) {
 func TestOptimizeRejectsBadInputs(t *testing.T) {
 	w := conv1D(t, 8, 8, 28, 3)
 	badArch := &arch.Arch{Name: "bad"}
-	if _, err := Optimize(w, badArch, Options{}); err == nil {
+	if _, err := Solve(Problem{Workload: w, Arch: badArch}, Options{}); err == nil {
 		t.Error("invalid arch must error")
 	}
 	badW := &tensor.Workload{Name: "bad"}
-	if _, err := Optimize(badW, arch.Tiny(64), Options{}); err == nil {
+	if _, err := Solve(Problem{Workload: badW, Arch: arch.Tiny(64)}, Options{}); err == nil {
 		t.Error("invalid workload must error")
 	}
 }
@@ -227,7 +227,7 @@ func TestOptimizeImperfectDims(t *testing.T) {
 	// mapping legal.
 	w := conv1D(t, 7, 13, 149, 3)
 	a := arch.Tiny(512)
-	res, err := Optimize(w, a, Options{})
+	res, err := Solve(Problem{Workload: w, Arch: a}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,19 +251,19 @@ func TestDirectionAndStrategyStrings(t *testing.T) {
 func TestObjectives(t *testing.T) {
 	w := conv2D(t, 1, 32, 32, 16, 16, 3, 3)
 	a := arch.TinySpatial(512, 1<<18, 16)
-	edp, err := Optimize(w, a, Options{Objective: MinEDP})
+	edp, err := Solve(Problem{Workload: w, Arch: a}, Options{Objective: MinEDP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := Optimize(w, a, Options{Objective: MinEnergy})
+	en, err := Solve(Problem{Workload: w, Arch: a}, Options{Objective: MinEnergy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dl, err := Optimize(w, a, Options{Objective: MinDelay})
+	dl, err := Solve(Problem{Workload: w, Arch: a}, Options{Objective: MinDelay})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ed2, err := Optimize(w, a, Options{Objective: MinED2P})
+	ed2, err := Solve(Problem{Workload: w, Arch: a}, Options{Objective: MinED2P})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestOptimizeInfeasibleArch(t *testing.T) {
 	// each datatype) must produce a clear error, not a bogus mapping.
 	w := conv1D(t, 8, 8, 28, 3)
 	a := arch.Tiny(2)
-	_, err := Optimize(w, a, Options{})
+	_, err := Solve(Problem{Workload: w, Arch: a}, Options{})
 	if err == nil {
 		t.Fatal("expected an error for an infeasible architecture")
 	}
@@ -308,7 +308,7 @@ func TestOptimizeInfeasibleArch(t *testing.T) {
 func TestOptimizeTopDownInfeasible(t *testing.T) {
 	w := conv1D(t, 8, 8, 28, 3)
 	a := arch.Tiny(2)
-	_, err := Optimize(w, a, Options{Direction: TopDown, TopDownVisitBudget: 10_000})
+	_, err := Solve(Problem{Workload: w, Arch: a}, Options{Direction: TopDown, TopDownVisitBudget: 10_000})
 	if err == nil {
 		t.Fatal("top-down must also report infeasibility")
 	}
@@ -318,7 +318,7 @@ func TestOptimizeWithCustomModel(t *testing.T) {
 	// The naive (no sliding-reuse) model is a supported configuration.
 	w := conv1D(t, 8, 8, 28, 3)
 	a := arch.Tiny(256)
-	res, err := Optimize(w, a, Options{Model: cost.Model{SlidingReuse: false}})
+	res, err := Solve(Problem{Workload: w, Arch: a}, Options{Model: cost.Model{SlidingReuse: false}})
 	if err != nil {
 		t.Fatal(err)
 	}

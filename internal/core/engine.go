@@ -2,7 +2,6 @@ package core
 
 import (
 	"container/list"
-	"context"
 	"sync"
 
 	"sunstone/internal/anytime"
@@ -102,23 +101,6 @@ func (e *Engine) Stats() EngineStats {
 		sh.mu.Unlock()
 	}
 	return s
-}
-
-// Optimize is OptimizeContext with a background context.
-//
-// Deprecated-style note: Engine.Solve with a Problem is the canonical entry
-// point; this wrapper remains for positional-argument callers.
-func (e *Engine) Optimize(w *tensor.Workload, a *arch.Arch, opt Options) (Result, error) {
-	return e.Solve(context.Background(), Problem{Workload: w, Arch: a}, opt)
-}
-
-// OptimizeContext is a thin wrapper over Engine.Solve for positional
-// (workload, arch) callers; Solve with a Problem is the canonical entry
-// point. Results are identical to a cold call — the search replays the
-// compiled enumeration into its own counters and spans — only faster,
-// because the per-problem precomputation and the evaluation memo carry over.
-func (e *Engine) OptimizeContext(ctx context.Context, w *tensor.Workload, a *arch.Arch, opt Options) (Result, error) {
-	return e.Solve(ctx, Problem{Workload: w, Arch: a}, opt)
 }
 
 // Session returns the compiled cost session for (model, w, a), compiling

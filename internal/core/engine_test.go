@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sunstone/internal/arch"
@@ -15,7 +16,7 @@ type countingProbe struct{ n int }
 func (p *countingProbe) BeforeEvaluate(m *mapping.Mapping) { p.n++ }
 
 // TestEngineCompileOnce is the compile/execute split's core contract: two
-// Optimize calls for the same problem compile it once, and the warm call's
+// Solve calls for the same problem compile it once, and the warm call's
 // result — mapping, score, candidate flow, space size — is indistinguishable
 // from the cold call's. Only the evaluation-memo hit/miss split may differ
 // (the warm call inherits a populated memo; that is the point).
@@ -24,11 +25,11 @@ func TestEngineCompileOnce(t *testing.T) {
 	a := arch.Tiny(256)
 	e := NewEngine(0)
 
-	cold, err := e.Optimize(w, a, Options{})
+	cold, err := e.Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := e.Optimize(w, a, Options{})
+	warm, err := e.Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +75,11 @@ func TestEngineResultMatchesPackagePath(t *testing.T) {
 	w := conv1D(t, 8, 8, 56, 3)
 	a := arch.Tiny(256)
 
-	direct, err := Optimize(w, a, Options{})
+	direct, err := Solve(Problem{Workload: w, Arch: a}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaEngine, err := NewEngine(0).Optimize(w, a, Options{})
+	viaEngine, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestEngineEviction(t *testing.T) {
 	e := NewEngine(8)
 	for i := 0; i < 24; i++ {
 		w := conv1D(t, 2, 2, 4+2*i, 3)
-		if _, err := e.Optimize(w, arch.Tiny(64), Options{}); err != nil {
+		if _, err := e.Solve(context.Background(), Problem{Workload: w, Arch: arch.Tiny(64)}, Options{}); err != nil {
 			t.Fatalf("shape %d: %v", i, err)
 		}
 	}
@@ -124,7 +125,7 @@ func TestEngineProbeBypassesCache(t *testing.T) {
 	opt := Options{Model: cost.Model{SlidingReuse: true, Probe: probe}}
 
 	for i := 0; i < 2; i++ {
-		if _, err := e.Optimize(w, a, opt); err != nil {
+		if _, err := e.Solve(context.Background(), Problem{Workload: w, Arch: a}, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +155,7 @@ func TestEngineConcurrentSameProblem(t *testing.T) {
 	done := make(chan int, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			res, err := e.Optimize(w, a, Options{})
+			res, err := e.Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{})
 			edps[i], errs[i] = res.Report.EDP, err
 			done <- i
 		}(i)
@@ -182,7 +183,7 @@ func TestEngineStatsPartitionPerCall(t *testing.T) {
 	e := NewEngine(0)
 	a := arch.Tiny(128)
 	for i, w := range []*struct{ k, c, p int }{{4, 4, 8}, {8, 8, 28}, {4, 4, 8}} {
-		res, err := e.Optimize(conv1D(t, w.k, w.c, w.p, 3), a, Options{})
+		res, err := e.Solve(context.Background(), Problem{Workload: conv1D(t, w.k, w.c, w.p, 3), Arch: a}, Options{})
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -225,11 +226,11 @@ func TestDirectionParity(t *testing.T) {
 	for _, ac := range archs {
 		t.Run(ac.name, func(t *testing.T) {
 			w := conv1D(t, 4, 4, 8, 3)
-			up, err := Optimize(w, ac.a, opt(BottomUp))
+			up, err := Solve(Problem{Workload: w, Arch: ac.a}, opt(BottomUp))
 			if err != nil {
 				t.Fatal(err)
 			}
-			down, err := Optimize(w, ac.a, opt(TopDown))
+			down, err := Solve(Problem{Workload: w, Arch: ac.a}, opt(TopDown))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,7 +253,7 @@ func TestEngineInvalidInputs(t *testing.T) {
 	e := NewEngine(0)
 	w := conv1D(t, 4, 4, 8, 3)
 	bad := &arch.Arch{} // no levels
-	if _, err := e.Optimize(w, bad, Options{}); err == nil {
+	if _, err := e.Solve(context.Background(), Problem{Workload: w, Arch: bad}, Options{}); err == nil {
 		t.Error("expected validation error for empty arch")
 	}
 	if s := e.Stats(); s.Entries != 0 || s.Compiles != 0 {

@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sunstone/internal/anytime"
@@ -34,9 +35,12 @@ type FusionOptions struct {
 	// MaxGroup bounds the chain positions per fused group (0 = default 4).
 	// MaxGroup 1 disables fusion: the result is the all-singleton schedule.
 	MaxGroup int
-	// Resilience, when non-nil, routes every member search — singleton
-	// baseline and fused — through OptimizeResilient with this policy.
-	Resilience *RetryPolicy
+	// ContinueOnError lets the singleton baseline searches run to their own
+	// conclusion after one layer fails, collecting every per-layer error.
+	// The default (false) is errgroup-style fail-fast: the first failure
+	// cancels the sibling searches, which then return their best-so-far
+	// mappings with Stopped = StopCanceled.
+	ContinueOnError bool
 }
 
 // defaultMaxGroup bounds fused group length when FusionOptions doesn't: the
@@ -60,6 +64,10 @@ type GroupResult struct {
 	Members []Result
 	// EnergyPJ/Cycles are the segment totals over Members.
 	EnergyPJ, Cycles float64
+	// Err is the layer's *LayerError when this singleton's baseline search
+	// failed; Members[0] then holds whatever that search returned, and the
+	// group counts toward NetworkResult.Failed instead of the totals.
+	Err error
 }
 
 // NetworkResult is the outcome of SolveNetworkFused.
@@ -70,8 +78,11 @@ type NetworkResult struct {
 	Groups []GroupResult
 	// Totals of the chosen cut; EDP = TotalEnergyPJ × TotalCycles.
 	TotalEnergyPJ, TotalCycles, EDP float64
-	// Unfused* are the all-singleton baseline totals from the same run —
-	// what the per-layer pipeline scores on the expanded chain.
+	// Failed counts the chain positions whose layer failed (GroupResult.Err);
+	// when it is non-zero the totals cover only the rest.
+	Failed int
+	// Unfused* are the all-singleton baseline totals from the same run:
+	// what MaxGroup 1 scores on the expanded chain.
 	UnfusedEnergyPJ, UnfusedCycles, UnfusedEDP float64
 	// Sweep counters: candidate groups enumerated, cut by the composed
 	// admissible bound, infeasible (no capacity for the resident footprint,
@@ -119,13 +130,20 @@ type groupSpec struct {
 // buffer residency (cost.Residency) on a derived architecture whose pinned
 // buffer has the resident footprint carved out, and selects the cut
 // minimizing total EDP by an exact Pareto DP over prefix (energy, cycles).
+// MaxGroup 1 admits no fused group: the result is the per-layer schedule.
 //
 // The anytime contract threads through every member search: canceling ctx
 // degrades in-flight members to their best-so-far mappings, stops the group
 // sweep, and still returns a complete schedule (the all-singleton cut at
-// worst), with Stopped recording the reason. A failed singleton search is a
-// hard error (the baseline is the DP's safety net); a failed fused member
-// only discards its groups.
+// worst), with Stopped recording the reason. Member searches run with opt,
+// so Options.Retry covers them too.
+//
+// A failed singleton search is a per-layer error (see solveSingles for the
+// fail-fast policy). Because the baseline is the DP's safety net, one
+// failure skips the fusion sweep: the result is the partial all-singleton
+// schedule — failed positions carry GroupResult.Err, Failed counts them,
+// the totals cover the rest — returned together with the errors.Join of
+// the layer errors. A failed fused member merely discards its groups.
 func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a *arch.Arch, opt Options, fopt FusionOptions) (NetworkResult, error) {
 	if err := opt.Validate(); err != nil {
 		return NetworkResult{}, err
@@ -160,20 +178,114 @@ func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a 
 	// Phase 1: the all-singleton baseline — each distinct layer solved once
 	// under the plain model. It is both the DP's fallback and the dominance
 	// reference for group pruning.
-	singles := make([]Result, len(net.Layers))
-	singleErrs := make([]error, len(net.Layers))
-	parallelDo(len(net.Layers), func(i int) {
-		l := &net.Layers[i]
-		r, err := e.solveMember(ctx, l.Workload, a, opt, fopt.Resilience)
-		singles[i] = r
-		if err != nil {
-			singleErrs[i] = &LayerError{Layer: l.Name, Cause: ClassifyFailure(err, false), Err: err}
+	singles, layerErrs := e.solveSingles(ctx, net, a, opt, fopt.ContinueOnError)
+	err := errors.Join(layerErrs...)
+	if err == nil {
+		res.Groups = e.sweep(ctx, net, pos, a, opt, maxGroup, singles, &res)
+	} else {
+		for at, p := range pos {
+			res.Groups = append(res.Groups, singletonGroup(net, pos, at, singles, layerErrs[p.Layer]))
 		}
-	})
-	if err := errors.Join(singleErrs...); err != nil {
-		return NetworkResult{}, err
 	}
 
+	// Unfused baseline totals, summed in the same left-to-right order the
+	// DP's singleton path uses.
+	for _, p := range pos {
+		if layerErrs[p.Layer] != nil {
+			continue
+		}
+		r := &singles[p.Layer].Report
+		res.UnfusedEnergyPJ += r.EnergyPJ
+		res.UnfusedCycles += r.Cycles
+	}
+	res.UnfusedEDP = res.UnfusedEnergyPJ * res.UnfusedCycles
+
+	for _, g := range res.Groups {
+		if g.Err != nil {
+			res.Failed++
+			continue
+		}
+		res.TotalEnergyPJ += g.EnergyPJ
+		res.TotalCycles += g.Cycles
+	}
+	res.EDP = res.TotalEnergyPJ * res.TotalCycles
+
+	res.Stopped = StopComplete
+	if cerr := ctx.Err(); cerr != nil {
+		if errors.Is(cerr, context.DeadlineExceeded) {
+			res.Stopped = StopDeadline
+		} else {
+			res.Stopped = StopCanceled
+		}
+	} else {
+	scan:
+		for _, g := range res.Groups {
+			for _, m := range g.Members {
+				if m.Stopped != StopComplete {
+					res.Stopped = m.Stopped
+					break scan
+				}
+			}
+		}
+	}
+	res.Elapsed = time.Since(start)
+	return res, err
+}
+
+// solveSingles is phase 1: every distinct layer solved once, concurrently.
+// A failed layer gets a *LayerError classified with sibling-cancel
+// awareness. Unless continueOnError, the first failure cancels the sibling
+// searches (errgroup-style fail-fast), which then return their best-so-far
+// mappings — or, with nothing completed yet, fail as sibling-cancel.
+func (e *Engine) solveSingles(ctx context.Context, net *network.Network, a *arch.Arch, opt Options, continueOnError bool) ([]Result, []error) {
+	singles := make([]Result, len(net.Layers))
+	errs := make([]error, len(net.Layers))
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// siblingFailed is set before the fail-fast cancel fires, so a layer
+	// whose search died because of that cancellation classifies as
+	// sibling-cancel rather than an ordinary search failure. The store
+	// happens-before the cancel, and the cancel happens-before any sibling
+	// observes it, so the flag is always visible to the layers it explains.
+	var siblingFailed atomic.Bool
+	parallelDo(len(net.Layers), func(i int) {
+		l := &net.Layers[i]
+		r, err := e.solveMember(ctx, l.Workload, a, opt)
+		singles[i] = r
+		if err == nil {
+			return
+		}
+		errs[i] = &LayerError{Layer: l.Name, Cause: ClassifyFailure(err, siblingFailed.Load()), Err: err}
+		if !continueOnError {
+			siblingFailed.Store(true)
+			cancel()
+		}
+	})
+	return singles, errs
+}
+
+// singletonGroup is chain position at as an unfused segment carrying its
+// layer's baseline result, or its failure err.
+func singletonGroup(net *network.Network, pos []network.Position, at int, singles []Result, err error) GroupResult {
+	l := pos[at].Layer
+	r := singles[l]
+	g := GroupResult{
+		Start: at, End: at + 1,
+		Layers:   []string{net.Layers[l].Name},
+		PinLevel: -1,
+		Members:  []Result{r},
+		Err:      err,
+	}
+	if err == nil {
+		g.EnergyPJ, g.Cycles = r.Report.EnergyPJ, r.Report.Cycles
+	}
+	return g
+}
+
+// sweep is phases 2-4 over a successful singleton baseline: enumerate the
+// fusible candidate groups, solve their members, and return the cut the
+// Pareto DP selects, counting the sweep into res.
+func (e *Engine) sweep(ctx context.Context, net *network.Network, pos []network.Position, a *arch.Arch, opt Options, maxGroup int, singles []Result, res *NetworkResult) []GroupResult {
 	// Phase 2: fusible boundaries, then candidate groups. boundary[i]
 	// describes the handoff between positions i and i+1 when an edge exists
 	// and the architecture has an on-chip home for it; a nil boundary is a
@@ -318,7 +430,7 @@ func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a 
 		j := needed[i]
 		opt2 := opt
 		opt2.Model = j.prob.Model
-		j.res, j.err = e.solveMember(ctx, j.prob.Workload, j.prob.Arch, opt2, fopt.Resilience)
+		j.res, j.err = e.solveMember(ctx, j.prob.Workload, j.prob.Arch, opt2)
 	})
 	for _, g := range groupList {
 		ok := true
@@ -382,15 +494,6 @@ func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a 
 		states[i] = front
 	}
 
-	// Unfused baseline totals, summed in the same left-to-right order the
-	// DP's singleton path uses.
-	for _, p := range pos {
-		r := &singles[p.Layer].Report
-		res.UnfusedEnergyPJ += r.EnergyPJ
-		res.UnfusedCycles += r.Cycles
-	}
-	res.UnfusedEDP = res.UnfusedEnergyPJ * res.UnfusedCycles
-
 	final := states[len(pos)]
 	best := 0
 	for ix := 1; ix < len(final); ix++ {
@@ -408,19 +511,11 @@ func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a 
 	for i, j := 0, len(segs)-1; i < j; i, j = i+1, j-1 {
 		segs[i], segs[j] = segs[j], segs[i]
 	}
+	var groups []GroupResult
 	at := 0
 	for _, st := range segs {
 		if st.g == nil {
-			l := pos[at].Layer
-			r := singles[l]
-			res.Groups = append(res.Groups, GroupResult{
-				Start: at, End: at + 1,
-				Layers:   []string{net.Layers[l].Name},
-				PinLevel: -1,
-				Members:  []Result{r},
-				EnergyPJ: r.Report.EnergyPJ,
-				Cycles:   r.Report.Cycles,
-			})
+			groups = append(groups, singletonGroup(net, pos, at, singles, nil))
 			at++
 			continue
 		}
@@ -430,49 +525,21 @@ func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a 
 			gr.Layers = append(gr.Layers, net.Layers[pos[g.s+i].Layer].Name)
 			gr.Members = append(gr.Members, j.res)
 		}
-		res.Groups = append(res.Groups, gr)
+		groups = append(groups, gr)
 		at = g.e
 	}
-	for _, g := range res.Groups {
-		res.TotalEnergyPJ += g.EnergyPJ
-		res.TotalCycles += g.Cycles
-	}
-	res.EDP = res.TotalEnergyPJ * res.TotalCycles
-
-	res.Stopped = StopComplete
-	if err := ctx.Err(); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			res.Stopped = StopDeadline
-		} else {
-			res.Stopped = StopCanceled
-		}
-	} else {
-	scan:
-		for _, g := range res.Groups {
-			for _, m := range g.Members {
-				if m.Stopped != StopComplete {
-					res.Stopped = m.Stopped
-					break scan
-				}
-			}
-		}
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return groups
 }
 
-// solveMember runs one member search — through the resilient path when a
-// policy is given — with panic containment, so a poisoned cost model on one
-// member degrades that member instead of the whole schedule.
-func (e *Engine) solveMember(ctx context.Context, w *tensor.Workload, a *arch.Arch, opt Options, pol *RetryPolicy) (r Result, err error) {
+// solveMember runs one member search with panic containment, so a poisoned
+// cost model on one member degrades that member instead of the whole
+// schedule.
+func (e *Engine) solveMember(ctx context.Context, w *tensor.Workload, a *arch.Arch, opt Options) (r Result, err error) {
 	defer func() {
 		if pe := anytime.PanicErrorFrom(recover(), "fused member "+w.Name, nil); pe != nil {
 			err = pe
 		}
 	}()
-	if pol != nil {
-		return e.OptimizeResilient(ctx, w, a, opt, *pol)
-	}
 	return e.Solve(ctx, Problem{Workload: w, Arch: a, Model: opt.Model}, opt)
 }
 

@@ -100,11 +100,15 @@ func Solve(p Problem, opt Options) (Result, error) {
 	return SolveContext(context.Background(), p, opt)
 }
 
-// SolveContext searches for the best mapping of the problem under ctx — the
-// canonical entry point every Optimize wrapper delegates to. The search is
-// an anytime algorithm: on cancellation or deadline it returns the best
-// completed mapping seen so far with Result.Stopped set.
+// SolveContext searches for the best mapping of the problem under ctx,
+// compiling it afresh. The search is an anytime algorithm: on cancellation
+// or deadline it returns the best completed mapping seen so far with
+// Result.Stopped set. With Options.Retry set it runs Engine.Solve's
+// graceful-degradation path on a transient Engine.
 func SolveContext(ctx context.Context, p Problem, opt Options) (Result, error) {
+	if opt.Retry != nil {
+		return NewEngine(0).Solve(ctx, p, opt)
+	}
 	if err := opt.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -125,6 +129,13 @@ func SolveContext(ctx context.Context, p Problem, opt Options) (Result, error) {
 // call — the search replays the compiled enumeration into its own counters
 // and spans — only faster, because the per-problem precomputation and the
 // evaluation memo carry over across calls with the same Problem.Key.
+//
+// With Options.Retry set the search runs on the graceful-degradation path
+// (see resilient.go): primary retries at backed-off budgets, then the
+// policy's fallback chain, every accepted mapping passing the final audit.
+// Result.Attempts records every try and Result.FallbackUsed names the
+// fallback that produced the mapping; the error is non-nil only when every
+// attempt failed.
 func (e *Engine) Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 	if err := opt.Validate(); err != nil {
 		return Result{}, err
@@ -132,6 +143,9 @@ func (e *Engine) Solve(ctx context.Context, p Problem, opt Options) (Result, err
 	opt = opt.withDefaults()
 	opt.Model = p.model(opt)
 	p.Model = opt.Model
+	if opt.Retry != nil {
+		return e.solveResilient(ctx, p, opt)
+	}
 	comp, err := e.compiled(p)
 	if err != nil {
 		return Result{}, err

@@ -18,7 +18,7 @@ const progressMinInterval = 50 * time.Millisecond
 // progressEmitter delivers Options.Progress callbacks. All methods are
 // nil-receiver safe (a search without a Progress callback carries a nil
 // emitter), and all emission happens synchronously on the goroutine driving
-// the search, so no event can be delivered after OptimizeContext returns.
+// the search, so no event can be delivered after Solve returns.
 //
 // A panicking callback is contained exactly like a poisoned candidate: the
 // panic becomes an *anytime.PanicError (surfaced via takeErr into

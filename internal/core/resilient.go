@@ -23,8 +23,9 @@ import (
 // chain ending in a guaranteed-feasible construction, and a final mapping
 // audit that no result — primary or fallback — escapes without passing.
 
-// RetryPolicy configures OptimizeResilient. The zero value selects the
-// defaults (DefaultRetryPolicy); negative Retries disables primary retries.
+// RetryPolicy configures the graceful-degradation path (Options.Retry). The
+// zero value selects the defaults (DefaultRetryPolicy); negative Retries
+// disables primary retries.
 type RetryPolicy struct {
 	// Retries is how many times the primary Sunstone search is retried after
 	// its first failed attempt, each retry with Backoff-shrunk budgets
@@ -106,15 +107,16 @@ type Attempt struct {
 // primaryName is the Attempt.Mapper value for the Sunstone search itself.
 const primaryName = "sunstone"
 
-// OptimizeResilient is OptimizeContext hardened for environments where
-// searches can fail — injected chaos faults, poisoned cost models, expired
-// deadlines, panicking dependencies. It never gives up while the policy has
-// attempts left:
+// solveResilient is Engine.Solve hardened for environments where searches
+// can fail — injected chaos faults, poisoned cost models, expired deadlines,
+// panicking dependencies. opt is validated and defaulted, its Model resolved
+// and its Retry non-nil. It never gives up while the policy has attempts
+// left:
 //
-//  1. the primary Sunstone search runs, then up to pol.Retries retries with
+//  1. the primary Sunstone search runs, then up to Retries retries with
 //     Backoff-shrunk budgets;
-//  2. the pol.Fallbacks chain runs in order, the last entry cycling until
-//     pol.MaxAttempts (the default chain ends in innermost-fit, which cannot
+//  2. the Fallbacks chain runs in order, the last entry cycling until
+//     MaxAttempts (the default chain ends in innermost-fit, which cannot
 //     fail on any workload/arch pair that admits a legal mapping);
 //  3. every candidate result passes the final mapping audit — structural
 //     validation, a full cost-model evaluation, and a bit-exact fast-path
@@ -125,15 +127,16 @@ const primaryName = "sunstone"
 // Err); Result.FallbackUsed names the fallback that produced the mapping
 // ("" = primary). A panic anywhere in an attempt is contained to that
 // attempt. The error return is non-nil only when every attempt failed.
-func (e *Engine) OptimizeResilient(ctx context.Context, w *tensor.Workload, a *arch.Arch, opt Options, pol RetryPolicy) (Result, error) {
-	if err := opt.Validate(); err != nil {
-		return Result{}, err
+func (e *Engine) solveResilient(ctx context.Context, p Problem, opt Options) (Result, error) {
+	if err := p.Validate(); err != nil {
+		return Result{}, err // no retry or fallback can repair invalid inputs
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt = opt.withDefaults()
-	pol = pol.withDefaults()
+	pol := opt.Retry.withDefaults()
+	opt.Retry = nil
+	w, a := p.Workload, p.Arch
 	ctx, span := obs.StartSpanf(ctx, "resilient %s", w.Name)
 
 	var attempts []Attempt
@@ -155,7 +158,7 @@ func (e *Engine) OptimizeResilient(ctx context.Context, w *tensor.Workload, a *a
 	curOpt := opt
 	for try := 0; try <= pol.Retries && len(attempts) < pol.MaxAttempts; try++ {
 		start := time.Now()
-		res, err := e.attemptPrimary(ctx, w, a, curOpt)
+		res, err := e.attemptPrimary(ctx, p, curOpt)
 		acc := Attempt{Mapper: primaryName, Stopped: res.Stopped, Elapsed: time.Since(start)}
 		if err == nil {
 			if pol.NoAudit {
@@ -207,13 +210,13 @@ func (e *Engine) OptimizeResilient(ctx context.Context, w *tensor.Workload, a *a
 // attemptPrimary runs one primary search with panic containment: an injected
 // expansion fault (or any other panic escaping the search driver) becomes a
 // failed attempt instead of crashing the caller.
-func (e *Engine) attemptPrimary(ctx context.Context, w *tensor.Workload, a *arch.Arch, opt Options) (res Result, err error) {
+func (e *Engine) attemptPrimary(ctx context.Context, p Problem, opt Options) (res Result, err error) {
 	defer func() {
 		if pe := anytime.PanicErrorFrom(recover(), "resilient primary search", nil); pe != nil {
 			res, err = Result{Stopped: anytime.FromContext(ctx)}, pe
 		}
 	}()
-	res, err = e.OptimizeContext(ctx, w, a, opt)
+	res, err = e.Solve(ctx, p, opt)
 	if err == nil && res.Mapping == nil {
 		err = errors.New("search returned no mapping")
 	}

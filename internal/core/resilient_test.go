@@ -22,18 +22,18 @@ func mustInjector(t *testing.T, seed int64, rules ...faults.Rule) *faults.Inject
 }
 
 // TestResilientMatchesPlain is the no-fault identity: with injection
-// disabled, OptimizeResilient accepts the primary search's first attempt and
-// its result is bit-identical to the plain Engine path, plus the attempt
-// record.
+// disabled, the Options.Retry path accepts the primary search's first
+// attempt and its result is bit-identical to the plain Engine path, plus the
+// attempt record.
 func TestResilientMatchesPlain(t *testing.T) {
 	w := conv1D(t, 8, 8, 56, 3)
 	a := arch.Tiny(256)
 
-	plain, err := NewEngine(0).Optimize(w, a, Options{})
+	plain, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewEngine(0).OptimizeResilient(context.Background(), w, a, Options{}, RetryPolicy{})
+	res, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, withRetry(Options{}, RetryPolicy{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestResilientFallsBackOnCompileFaults(t *testing.T) {
 
 	w := conv1D(t, 8, 8, 56, 3)
 	a := arch.Tiny(256)
-	res, err := NewEngine(0).OptimizeResilient(context.Background(), w, a, Options{}, RetryPolicy{})
+	res, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, withRetry(Options{}, RetryPolicy{}))
 	if err != nil {
 		t.Fatalf("resilient run must survive compile faults: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestResilientExhaustsWhenEvaluationIsDead(t *testing.T) {
 	w := conv1D(t, 4, 4, 8, 3)
 	a := arch.Tiny(256)
 	pol := RetryPolicy{Retries: -1, FallbackTries: 1, MaxAttempts: 4}
-	res, err := NewEngine(0).OptimizeResilient(context.Background(), w, a, Options{}, pol)
+	res, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, withRetry(Options{}, pol))
 	if err == nil {
 		t.Fatal("a dead cost model cannot yield an audited mapping")
 	}
@@ -136,7 +136,7 @@ func TestResilientAuditCatchesMemoCorruption(t *testing.T) {
 	w := conv1D(t, 4, 4, 8, 3)
 	a := arch.Tiny(256)
 	pol := RetryPolicy{Retries: -1, FallbackTries: 1, MaxAttempts: 3}
-	res, err := NewEngine(0).OptimizeResilient(context.Background(), w, a, Options{}, pol)
+	res, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, withRetry(Options{}, pol))
 	if err == nil {
 		t.Fatal("permanently corrupted memo reads must fail the audit")
 	}
@@ -158,7 +158,7 @@ func TestResilientSurvivesExpansionPanics(t *testing.T) {
 
 	w := conv1D(t, 8, 8, 56, 3)
 	a := arch.Tiny(256)
-	res, err := NewEngine(0).OptimizeResilient(context.Background(), w, a, Options{}, RetryPolicy{})
+	res, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, withRetry(Options{}, RetryPolicy{}))
 	if err != nil {
 		t.Fatalf("resilient run must survive expansion panics: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestResilientUnknownFallback(t *testing.T) {
 	w := conv1D(t, 4, 4, 8, 3)
 	a := arch.Tiny(256)
 	pol := RetryPolicy{Retries: -1, Fallbacks: []string{"no-such-mapper"}, FallbackTries: 1, MaxAttempts: 2}
-	_, err := NewEngine(0).OptimizeResilient(context.Background(), w, a, Options{}, pol)
+	_, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, withRetry(Options{}, pol))
 	if err == nil || !strings.Contains(err.Error(), `unknown fallback mapper "no-such-mapper"`) {
 		t.Fatalf("want unknown-fallback error, got %v", err)
 	}
@@ -201,4 +201,10 @@ func TestShrinkOptions(t *testing.T) {
 	if o.BeamWidth != 12 || o.TilesPerStep != 4 || o.UnrollsPerStep != 1 || o.TopDownVisitBudget != 4 {
 		t.Errorf("shrunk options = %+v", o)
 	}
+}
+
+// withRetry returns opt with pol installed as its Options.Retry.
+func withRetry(opt Options, pol RetryPolicy) Options {
+	opt.Retry = &pol
+	return opt
 }

@@ -13,11 +13,11 @@ import (
 // never finish worse than that mapping — the crash-recovery contract.
 func TestWarmStartEqualOrBetter(t *testing.T) {
 	w := conv2D(t, 1, 16, 16, 14, 14, 3, 3)
-	cold, err := Optimize(w, arch.Simba(), Options{})
+	cold, err := Solve(Problem{Workload: w, Arch: arch.Simba()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Optimize(w, arch.Simba(), Options{WarmStart: cold.Mapping})
+	warm, err := Solve(Problem{Workload: w, Arch: arch.Simba()}, Options{WarmStart: cold.Mapping})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +38,11 @@ func TestWarmStartEqualOrBetter(t *testing.T) {
 // original deadline already expired.
 func TestWarmStartUnderImmediateDeadline(t *testing.T) {
 	w := conv2D(t, 1, 16, 16, 14, 14, 3, 3)
-	cold, err := Optimize(w, arch.Simba(), Options{})
+	cold, err := Solve(Problem{Workload: w, Arch: arch.Simba()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(w, arch.Simba(), Options{
+	res, err := Solve(Problem{Workload: w, Arch: arch.Simba()}, Options{
 		WarmStart: cold.Mapping,
 		Timeout:   time.Nanosecond,
 	})
@@ -66,11 +66,11 @@ func TestWarmStartUnderImmediateDeadline(t *testing.T) {
 func TestWarmStartRebindsForeignInstance(t *testing.T) {
 	w1 := conv2D(t, 1, 16, 16, 14, 14, 3, 3)
 	w2 := conv2D(t, 1, 16, 16, 14, 14, 3, 3) // same shape, distinct instance
-	cold, err := Optimize(w1, arch.Simba(), Options{})
+	cold, err := Solve(Problem{Workload: w1, Arch: arch.Simba()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Optimize(w2, arch.Simba(), Options{WarmStart: cold.Mapping})
+	warm, err := Solve(Problem{Workload: w2, Arch: arch.Simba()}, Options{WarmStart: cold.Mapping})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,15 +88,15 @@ func TestWarmStartRebindsForeignInstance(t *testing.T) {
 func TestWarmStartInvalidDegrades(t *testing.T) {
 	wRight := conv2D(t, 1, 16, 16, 14, 14, 3, 3)
 	wWrong := conv1D(t, 8, 8, 10, 3)
-	foreign, err := Optimize(wWrong, arch.Tiny(256), Options{})
+	foreign, err := Solve(Problem{Workload: wWrong, Arch: arch.Tiny(256)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Optimize(wRight, arch.Simba(), Options{})
+	cold, err := Solve(Problem{Workload: wRight, Arch: arch.Simba()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(wRight, arch.Simba(), Options{WarmStart: foreign.Mapping})
+	res, err := Solve(Problem{Workload: wRight, Arch: arch.Simba()}, Options{WarmStart: foreign.Mapping})
 	if err != nil {
 		t.Fatalf("invalid warm start failed the run: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestWarmStartInvalidDegrades(t *testing.T) {
 	}
 
 	// An empty mapping shell must degrade the same way.
-	res2, err := Optimize(wRight, arch.Simba(), Options{WarmStart: &mapping.Mapping{}})
+	res2, err := Solve(Problem{Workload: wRight, Arch: arch.Simba()}, Options{WarmStart: &mapping.Mapping{}})
 	if err != nil {
 		t.Fatalf("empty warm start failed the run: %v", err)
 	}
@@ -130,17 +130,17 @@ func TestWarmStartInvalidDegrades(t *testing.T) {
 // a cold one.
 func TestWarmStartDeterministic(t *testing.T) {
 	w := conv2D(t, 1, 16, 16, 14, 14, 3, 3)
-	cold, err := Optimize(w, arch.Simba(), Options{})
+	cold, err := Solve(Problem{Workload: w, Arch: arch.Simba()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := Options{WarmStart: cold.Mapping}
-	first, err := Optimize(w, arch.Simba(), opt)
+	first, err := Solve(Problem{Workload: w, Arch: arch.Simba()}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		res, err := Optimize(w, arch.Simba(), opt)
+		res, err := Solve(Problem{Workload: w, Arch: arch.Simba()}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

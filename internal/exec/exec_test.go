@@ -157,7 +157,7 @@ func TestOptimizerOutputsComputeCorrectly(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			res, err := core.Optimize(c.w, c.a, core.Options{})
+			res, err := core.Solve(core.Problem{Workload: c.w, Arch: c.a}, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

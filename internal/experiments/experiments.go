@@ -44,11 +44,11 @@ type Config struct {
 	// figure regeneration exports as one Chrome trace. Nil means
 	// context.Background().
 	Ctx context.Context
-	// Resilience, when non-nil, routes every Sunstone cell through the
-	// graceful-degradation path (core.OptimizeResilient); the attempt count
-	// and any fallback used land in the ToolRun and the runs CSV. Nil is the
-	// plain single-attempt search the committed numbers use.
-	Resilience *core.RetryPolicy
+	// Retry, when non-nil, routes every Sunstone cell through the
+	// graceful-degradation path (Options.Retry); the attempt count and any
+	// fallback used land in the ToolRun and the runs CSV. Nil is the plain
+	// single-attempt search the committed numbers use.
+	Retry *core.RetryPolicy
 	// Threads sets every search's intra-search worker-pool size
 	// (Options.Threads). Zero means all cores. Results are identical at
 	// any value — only wall-clock changes — so the committed numbers do
@@ -63,6 +63,7 @@ type Config struct {
 // options applies the Config-wide search knobs to one experiment's Options.
 func (c Config) options(o core.Options) core.Options {
 	o.Threads = c.Threads
+	o.Retry = c.Retry
 	if c.Analytical != nil {
 		an := *c.Analytical
 		o.Analytical = &an
@@ -148,7 +149,7 @@ type ToolRun struct {
 	Stopped string
 	// Attempts counts the resilient path's tries (0 = plain single-attempt
 	// path); Fallback names the fallback mapper that produced the result
-	// when the primary search degraded. See Config.Resilience.
+	// when the primary search degraded. See Config.Retry.
 	Attempts int
 	Fallback string
 	// BoundPruned counts candidates the admissible analytical lower bound
@@ -179,13 +180,7 @@ func stoppedLabel(r anytime.StopReason) string {
 // with a baseline via UseSessions) compiles its problem artifacts once.
 func runSunstone(cfg Config, eng *core.Engine, w *tensor.Workload, a *arch.Arch) ToolRun {
 	opt := cfg.options(core.Options{Timeout: cfg.LayerTimeout})
-	var res core.Result
-	var err error
-	if cfg.Resilience != nil {
-		res, err = eng.OptimizeResilient(cfg.ctx(), w, a, opt, *cfg.Resilience)
-	} else {
-		res, err = eng.OptimizeContext(cfg.ctx(), w, a, opt)
-	}
+	res, err := eng.Solve(cfg.ctx(), core.Problem{Workload: w, Arch: a}, opt)
 	tr := ToolRun{Tool: "Sunstone", Workload: w.Name}
 	if err != nil {
 		tr.Reason = err.Error()
@@ -461,7 +456,7 @@ func sortedKeys(m map[string]float64) []string {
 // fused_edp,reason) for plotting the figures externally. The stopped column
 // is empty for naturally-completed runs and otherwise holds the StopReason
 // string of an anytime early return; attempts is 0 and fallback empty unless
-// the run went through the resilient path (Config.Resilience); bound_pruned
+// the run went through the resilient path (Config.Retry); bound_pruned
 // and seed_edp report the analytical layer's work on Sunstone cells (0 for
 // baselines and when the layer is off); group and fused_edp carry the fusion
 // experiment's chosen cut and whole-network fused EDP (empty/0 on per-layer

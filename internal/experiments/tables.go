@@ -67,7 +67,7 @@ func Table6(cfg Config) []Table6Row {
 		space := 0
 		var edps []float64
 		for _, w := range ws {
-			res, err := core.Optimize(w, a, cfg.options(c.opt))
+			res, err := core.Solve(core.Problem{Workload: w, Arch: a}, cfg.options(c.opt))
 			if err != nil {
 				continue
 			}
@@ -112,7 +112,7 @@ func DataflowSpread(cfg Config) []SpreadRow {
 	w := workloads.ResNet18[1].Inference(4)
 	a := arch.Conventional()
 	var rows []SpreadRow
-	res, err := core.Optimize(w, a, cfg.options(core.Options{}))
+	res, err := core.Solve(core.Problem{Workload: w, Arch: a}, cfg.options(core.Options{}))
 	if err == nil {
 		rows = append(rows, SpreadRow{Dataflow: "searched (Sunstone)", EDP: res.Report.EDP,
 			EnergyPJ: res.Report.EnergyPJ, Valid: res.Report.Valid})

@@ -1,12 +1,9 @@
 // Package network defines the fusion IR the network-scheduling stack is
 // built on: a Network is an ordered chain of typed Layer nodes with explicit
-// producer→consumer tensor Edges, replacing the stringly (network name,
-// shapes, repeats) tuple the per-layer pipeline used to pass around. The IR
-// is what both schedulers consume — the unfused per-layer scheduler walks
-// Layers independently, and the fusion-aware scheduler additionally walks
-// Edges to enumerate contiguous fusion groups whose intermediate tensors
-// stay resident on-chip (see internal/core's fused solver and
-// cost.Residency).
+// producer→consumer tensor Edges. The network scheduler (internal/core's
+// fused solver) solves the Layers independently, then walks the Edges to
+// enumerate contiguous fusion groups whose intermediate tensors stay
+// resident on-chip (see cost.Residency).
 //
 // An Edge carries the inter-layer tile-compatibility constraint: the
 // producer's output tensor and the consumer's input tensor name the same
@@ -180,15 +177,16 @@ func (n *Network) HandoffBytes(a *arch.Arch, e Edge) int64 {
 	return (int64(fp)*int64(bits) + 7) / 8
 }
 
-// FromConvShapes builds the conv-chain IR behind the legacy (network,
-// shapes, repeats) signature: one layer per shape at the given batch, a
-// self-edge for every repeated shape whose output feeds itself (K == C),
-// and a cross edge between consecutive shapes whose channels chain
-// (K_i == C_{i+1}) and whose spatial geometry consumes the producer's
-// output directly — a shrunken consumer view (an unmodeled pooling stage,
-// e.g. ResNet's conv1 → conv2_x maxpool) forces a fusion cut instead.
+// FromConvShapes builds the conv-chain IR of a layer table: one layer per
+// shape at the given batch, a self-edge for every repeated shape whose
+// output feeds itself (K == C), and a cross edge between consecutive shapes
+// whose channels chain (K_i == C_{i+1}) and whose spatial geometry consumes
+// the producer's output directly — a shrunken consumer view (an unmodeled
+// pooling stage, e.g. ResNet's conv1 → conv2_x maxpool) forces a fusion cut
+// instead.
 // A nil repeats slice means one occurrence each; a non-nil slice must match
-// shapes in length.
+// shapes in length. A non-positive batch, loop bound or stride is an error
+// naming the offending layer's index and name.
 func FromConvShapes(name string, shapes []workloads.ConvShape, batch int, repeats []int) (*Network, error) {
 	if repeats != nil && len(repeats) != len(shapes) {
 		return nil, fmt.Errorf("repeats has %d entries for %d shapes", len(repeats), len(shapes))
@@ -198,6 +196,9 @@ func FromConvShapes(name string, shapes []workloads.ConvShape, batch int, repeat
 		return (cs.P-1)*cs.StrideH + cs.R, (cs.Q-1)*cs.StrideW + cs.S
 	}
 	for i, cs := range shapes {
+		if bad := nonPositiveDim(cs, batch); bad != "" {
+			return nil, fmt.Errorf("layer %d (%s): %s, must be positive", i, cs.Name, bad)
+		}
 		rep := 1
 		if repeats != nil {
 			rep = repeats[i]
@@ -215,6 +216,23 @@ func FromConvShapes(name string, shapes []workloads.ConvShape, batch int, repeat
 		}
 	}
 	return net, nil
+}
+
+// nonPositiveDim names the first loop bound or stride of cs at batch that
+// is not positive (the inputs workload construction rejects), or "".
+func nonPositiveDim(cs workloads.ConvShape, batch int) string {
+	for _, d := range []struct {
+		name string
+		v    int
+	}{
+		{"batch", batch}, {"K", cs.K}, {"C", cs.C}, {"P", cs.P}, {"Q", cs.Q},
+		{"R", cs.R}, {"S", cs.S}, {"StrideH", cs.StrideH}, {"StrideW", cs.StrideW},
+	} {
+		if d.v < 1 {
+			return fmt.Sprintf("%s = %d", d.name, d.v)
+		}
+	}
+	return ""
 }
 
 // TransformerChain is the MHA-flavored GEMM→GEMM chain preset: the four

@@ -45,6 +45,35 @@ func TestFromConvShapesRepeatsMismatch(t *testing.T) {
 	}
 }
 
+// TestFromConvShapesRejectsNonPositiveDims: a shape workload construction
+// would panic on comes back as an error naming the layer's index and name.
+func TestFromConvShapesRejectsNonPositiveDims(t *testing.T) {
+	good := workloads.ConvShape{Name: "ok", K: 4, C: 4, P: 7, Q: 7, R: 3, S: 3, StrideH: 1, StrideW: 1}
+	negK := good
+	negK.Name, negK.K = "negk", -1
+	for _, tc := range []struct {
+		name  string
+		shape workloads.ConvShape
+		batch int
+		want  string
+	}{
+		{"zero shape", workloads.ConvShape{Name: "bad"}, 1, `layer 1 (bad): K = 0`},
+		{"zero batch", good, 0, `layer 0 (ok): batch = 0`},
+		{"negative K", negK, 1, `layer 1 (negk): K = -1`},
+		{"zero stride", workloads.ConvShape{Name: "s0", K: 4, C: 4, P: 7, Q: 7, R: 3, S: 3, StrideW: 1}, 1, `layer 1 (s0): StrideH = 0`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := FromConvShapes("net", []workloads.ConvShape{good, tc.shape}, tc.batch, nil)
+			if err == nil {
+				t.Fatalf("accepted: %+v", net)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestValidateRejectsBadEdges(t *testing.T) {
 	base := func() *Network {
 		n, err := FromConvShapes("n", workloads.ResNet18[:2], 1, nil)

@@ -16,7 +16,7 @@ import (
 func TestMappingRoundTripThroughOptimizer(t *testing.T) {
 	w := workloads.Conv1D("c", 8, 8, 28, 3)
 	a := arch.Tiny(256)
-	res, err := core.Optimize(w, a, core.Options{})
+	res, err := core.Solve(core.Problem{Workload: w, Arch: a}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

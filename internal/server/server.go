@@ -788,17 +788,15 @@ func (s *Server) runJob(j *job) {
 				s.metrics.panics.Inc()
 			}
 		}()
+		// Every search — single or network member — runs through the
+		// resilient path.
+		retry := s.retry
+		opt.Retry = &retry
 		if j.net != nil {
 			// Network-form job: one fusion-aware (or, with max_group 1,
-			// plain per-layer) schedule of the whole chain. Member
-			// searches run through the same resilient path as single
-			// jobs.
-			fopt := j.fopt
-			if fopt.Resilience == nil {
-				fopt.Resilience = &s.retry
-			}
+			// plain per-layer) schedule of the whole chain.
 			var nr core.NetworkResult
-			nr, err = s.eng.SolveNetworkFused(jctx, j.net, j.a, opt, fopt)
+			nr, err = s.eng.SolveNetworkFused(jctx, j.net, j.a, opt, j.fopt)
 			if err == nil {
 				j.mu.Lock()
 				j.nres = &nr
@@ -811,7 +809,7 @@ func (s *Server) runJob(j *job) {
 			}
 			return
 		}
-		res, err = s.eng.OptimizeResilient(jctx, j.w, j.a, opt, s.retry)
+		res, err = s.eng.Solve(jctx, core.Problem{Workload: j.w, Arch: j.a}, opt)
 	}()
 	s.finalize(j, res, err)
 }

@@ -121,7 +121,7 @@ func Table1(w *tensor.Workload, a *arch.Arch) []Estimate {
 	// Sunstone's space needs no estimate: the search is small enough to
 	// run, so its row reports the measured candidate count.
 	sunSize := 1.0
-	if res, err := core.Optimize(w, a, core.Options{}); err == nil {
+	if res, err := core.Solve(core.Problem{Workload: w, Arch: a}, core.Options{}); err == nil {
 		sunSize = float64(res.SpaceSize)
 	}
 

@@ -2,23 +2,16 @@ package sunstone
 
 import (
 	"context"
-	"errors"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"sunstone/internal/anytime"
 	"sunstone/internal/core"
 	"sunstone/internal/network"
-	"sunstone/internal/obs"
 	"sunstone/internal/workloads"
 )
 
 // Fusion IR surface (internal/network): the typed Network of Layer nodes
-// with explicit producer→consumer tensor Edges that both network schedulers
-// consume. The legacy (network, shapes, repeats) entry points below are thin
-// adapters that build this IR.
+// with explicit producer→consumer tensor Edges that ScheduleNetwork
+// consumes.
 type (
 	// Network is an ordered chain of layers with the edges along which
 	// fusion is legal.
@@ -30,9 +23,6 @@ type (
 	Edge = network.Edge
 	// Position is one executed layer occurrence in chain order.
 	Position = network.Position
-	// FusionOptions configures the fused network scheduler on top of the
-	// per-member search Options.
-	FusionOptions = core.FusionOptions
 )
 
 // IR constructors.
@@ -42,27 +32,32 @@ var (
 	TransformerChain = network.TransformerChain
 )
 
-// FromConvShapes builds the conv-chain IR behind the legacy (network,
-// shapes, repeats) signature; see internal/network for the edge-construction
-// rules (channel chaining plus the pooling-geometry cut).
+// FromConvShapes builds the conv-chain IR of a layer table: one layer per
+// shape at the given batch, weighted by repeats (nil = one occurrence
+// each); see internal/network for the edge-construction rules (channel
+// chaining plus the pooling-geometry cut). A non-positive batch, loop bound
+// or stride is an error naming the offending layer.
 func FromConvShapes(name string, shapes []ConvShape, batch int, repeats []int) (*Network, error) {
 	return network.FromConvShapes(name, shapes, batch, repeats)
 }
 
-// LayerSchedule is one layer's outcome within a network schedule.
+// LayerSchedule is one executed layer occurrence within a network schedule.
 type LayerSchedule struct {
-	Layer   string
-	Result  Result
-	Repeats int // identical layers mapped once, counted Repeats times
+	Layer  string
+	Result Result
+	// Repeats is 1 for every ScheduleNetwork entry (repeats are expanded
+	// into chain positions); only schedules decoded from the legacy
+	// headerless form carry larger counts.
+	Repeats int
 	// Err is this layer's failure, if any (nil for a mapped layer). Failed
-	// layers carry no mapping and are excluded from the network totals.
+	// layers are excluded from the network totals.
 	Err error
 }
 
-// GroupSchedule is one fused segment of a fusion-aware network schedule: the
-// contiguous chain positions [Start, End) whose intermediate tensors stayed
-// resident on-chip at PinLevel. Singleton groups (End-Start == 1) are
-// unfused layer occurrences with PinLevel -1.
+// GroupSchedule is one segment of a network schedule: the contiguous chain
+// positions [Start, End) whose intermediate tensors stayed resident on-chip
+// at PinLevel. Singleton groups (End-Start == 1) are unfused layer
+// occurrences with PinLevel -1.
 type GroupSchedule struct {
 	Layers     []string
 	Start, End int
@@ -73,30 +68,35 @@ type GroupSchedule struct {
 
 // NetworkSchedule aggregates a whole network's mapping results.
 type NetworkSchedule struct {
-	Network       string
+	Network string
+	// Layers holds one entry per executed chain position (repeats
+	// expanded), in chain order.
 	Layers        []LayerSchedule
 	TotalEnergyPJ float64
 	TotalCycles   float64
 	// EDP is the network-level energy-delay product (total energy x total
 	// cycles, layers executed back to back).
 	EDP float64
-	// Failed counts layers that returned an error; when it is non-zero the
-	// totals cover only the layers that succeeded.
+	// Failed counts layer entries that carry an error; when it is non-zero
+	// the totals cover only the entries that succeeded.
 	Failed  int
 	Elapsed time.Duration
-	// Fused marks a schedule produced by the fusion-aware scheduler: Layers
-	// then holds one entry per executed chain position (repeats expanded,
-	// Repeats 1 each), Groups records the chosen fusion cut, and UnfusedEDP
-	// the all-singleton baseline from the same run.
+	// Fused marks a schedule from ScheduleNetwork, whose Groups record the
+	// chosen fusion cut and UnfusedEDP the all-singleton baseline from the
+	// same run. It is false only for a schedule decoded from the legacy
+	// headerless layer-per-entry form.
 	Fused      bool
 	Groups     []GroupSchedule
 	UnfusedEDP float64
 }
 
-// NetworkOptions configures ScheduleNetworkContext: the per-layer optimizer
-// Options plus network-level policy.
+// NetworkOptions configures ScheduleNetwork: the per-layer search Options
+// (Options.Retry included) plus network-level policy.
 type NetworkOptions struct {
 	Options
+	// MaxGroup bounds the chain positions per fused group (0 = default 4).
+	// MaxGroup 1 disables fusion: the schedule is the per-layer one.
+	MaxGroup int
 	// ContinueOnError keeps optimizing the remaining layers after one
 	// fails, collecting every per-layer error (joined in the returned
 	// error) and still returning the layers that succeeded. The default
@@ -104,13 +104,6 @@ type NetworkOptions struct {
 	// sibling layer searches, which then return their best-so-far mappings
 	// with Result.Stopped = StopCanceled.
 	ContinueOnError bool
-	// Resilience, when non-nil, routes every layer through the graceful-
-	// degradation path (Engine.OptimizeResilient): bounded retries with
-	// budget backoff, then the policy's fallback-mapper chain, with every
-	// accepted mapping passing the final audit. Each layer's attempts are
-	// recorded in its Result.Attempts / Result.FallbackUsed. Nil (the
-	// default) is the legacy single-attempt path, bit-identical to before.
-	Resilience *RetryPolicy
 }
 
 // FailureCause classifies why a layer's search failed (LayerError.Cause).
@@ -150,222 +143,34 @@ type LayerError = core.LayerError
 // classification of err itself. A nil error has no cause ("").
 func CauseOf(err error) FailureCause { return core.CauseOf(err) }
 
-// ScheduleNetwork maps every layer of a network onto the architecture,
-// optimizing layers concurrently (each layer's search is independent), and
-// returns per-layer mappings plus network totals. Repeats lets callers
-// weight shapes that occur multiple times (e.g. the four conv2_x blocks of
-// ResNet-18); pass nil for one occurrence each. It is ScheduleNetworkContext
-// with a background context and fail-fast error policy.
-func ScheduleNetwork(network string, shapes []ConvShape, batch int, repeats []int, a *Arch, opt Options) (NetworkSchedule, error) {
-	return ScheduleNetworkContext(context.Background(), network, shapes, batch, repeats, a, NetworkOptions{Options: opt})
+// ScheduleNetwork is (*Engine).ScheduleNetwork on a transient Engine: the
+// layers of one call still share a compilation cache, so a network's
+// repeated shapes compile once, but nothing is retained across calls. Hold
+// an Engine to reuse compiled artifacts between networks.
+func ScheduleNetwork(ctx context.Context, net *Network, a *Arch, opt NetworkOptions) (NetworkSchedule, error) {
+	return NewEngine().ScheduleNetwork(ctx, net, a, opt)
 }
 
-// ScheduleNetworkContext is (*Engine).ScheduleNetworkContext on a transient
-// Engine: the layers of one call still share a compilation cache, so a
-// network's repeated shapes (e.g. ResNet-18's conv2_x block) compile once,
-// but nothing is retained across calls. Hold an Engine to reuse compiled
-// artifacts between networks.
-func ScheduleNetworkContext(ctx context.Context, network string, shapes []ConvShape, batch int, repeats []int, a *Arch, opt NetworkOptions) (NetworkSchedule, error) {
-	return NewEngine().ScheduleNetworkContext(ctx, network, shapes, batch, repeats, a, opt)
-}
-
-// ScheduleNetwork maps every layer of a network through the Engine's
-// compilation cache. It is (*Engine).ScheduleNetworkContext with a background
-// context and fail-fast error policy.
-func (e *Engine) ScheduleNetwork(network string, shapes []ConvShape, batch int, repeats []int, a *Arch, opt Options) (NetworkSchedule, error) {
-	return e.ScheduleNetworkContext(context.Background(), network, shapes, batch, repeats, a, NetworkOptions{Options: opt})
-}
-
-// ScheduleNetworkContext maps every layer of a network onto the architecture
-// under ctx. It is a thin adapter over the fusion IR: the (network, shapes,
-// batch, repeats) tuple builds a Network via FromConvShapes, which
-// ScheduleNetworkIR then schedules layer by layer — identical results to the
-// pre-IR pipeline, including the error policy and repeats weighting.
-func (e *Engine) ScheduleNetworkContext(ctx context.Context, network string, shapes []ConvShape, batch int, repeats []int, a *Arch, opt NetworkOptions) (NetworkSchedule, error) {
-	net, prefail, err := convNetworkIR(network, shapes, batch, repeats)
-	if err != nil {
-		return NetworkSchedule{}, err
-	}
-	return e.scheduleNetworkIR(ctx, net, a, opt, prefail)
-}
-
-// convNetworkIR builds the conv-chain IR with the legacy per-layer panic
-// containment: a pathological shape whose workload construction panics
-// (tensor.MustNew) must fail as *that layer's* scheduling error — siblings
-// still run — not abort the whole call. Such shapes are swapped for a
-// trivial placeholder so the IR still carries one layer per shape, and the
-// contained panic is returned as the layer's pre-existing failure.
-func convNetworkIR(name string, shapes []ConvShape, batch int, repeats []int) (*Network, []error, error) {
-	var prefail []error
-	probed := shapes
-	for i := range shapes {
-		err := func(i int) (err error) {
-			defer func() {
-				if pe := anytime.PanicErrorFrom(recover(), "schedule layer "+shapes[i].Name, nil); pe != nil {
-					err = pe
-				}
-			}()
-			shapes[i].Inference(batch)
-			return nil
-		}(i)
-		if err == nil {
-			continue
-		}
-		if prefail == nil {
-			prefail = make([]error, len(shapes))
-			probed = append([]ConvShape(nil), shapes...)
-		}
-		prefail[i] = err
-		probed[i] = ConvShape{Name: shapes[i].Name, K: 1, C: 1, P: 1, Q: 1, R: 1, S: 1, StrideH: 1, StrideW: 1}
-	}
-	net, err := network.FromConvShapes(name, probed, batch, repeats)
-	if err != nil {
-		return nil, nil, err
-	}
-	return net, prefail, nil
-}
-
-// ScheduleNetworkIR maps every layer of an IR network onto the architecture
-// under ctx, one independent search per layer (no fusion), routing every
-// search through the Engine's compilation cache (repeated shapes compile
-// once; an already-warm Engine recompiles nothing). The per-layer searches
-// run concurrently and inherit ctx (plus Options.Timeout, which bounds each
-// layer's search individually), so canceling ctx degrades every in-flight
-// layer to its best-so-far mapping. Each layer contributes one LayerSchedule
-// whose totals are weighted by its Repeats.
+// ScheduleNetwork maps every layer of net onto the architecture under ctx
+// through the Engine's compilation cache. Each distinct layer is first
+// solved on its own, concurrently; then contiguous chain segments connected
+// by IR edges may execute as one fused group whose intermediate tensors stay
+// resident on-chip instead of round-tripping DRAM, and an exact DP over the
+// cut space picks the grouping with the lowest total EDP. The all-singleton
+// cut is always a candidate, so the schedule never scores worse than the
+// unfused baseline (returned alongside in UnfusedEDP); MaxGroup 1 returns
+// exactly that baseline.
 //
-// Error policy: a failed layer never aborts the others mid-flight without
-// trace. By default the first failure cancels the sibling searches
-// (errgroup-style fail-fast) and the joined errors of every failed layer are
-// returned; with opt.ContinueOnError all layers run to their own conclusion
-// and the schedule keeps every layer that succeeded. In both modes the
-// returned error is the errors.Join of all per-layer failures, and a panic
-// in one layer's search (e.g. a poisoned cost-model evaluation) is isolated
-// to that layer as an *anytime.PanicError instead of crashing the process.
-func (e *Engine) ScheduleNetworkIR(ctx context.Context, net *Network, a *Arch, opt NetworkOptions) (NetworkSchedule, error) {
-	return e.scheduleNetworkIR(ctx, net, a, opt, nil)
-}
-
-// scheduleNetworkIR is ScheduleNetworkIR plus the legacy adapter's pre-failed
-// layers: a non-nil prefail[i] fails layer i through the ordinary per-layer
-// error path (classification, fail-fast cancellation) without running a
-// search for it.
-func (e *Engine) scheduleNetworkIR(ctx context.Context, net *Network, a *Arch, opt NetworkOptions, prefail []error) (NetworkSchedule, error) {
-	if net == nil {
-		return NetworkSchedule{}, errors.New("schedule network: nil network")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	out := NetworkSchedule{Network: net.Name, Layers: make([]LayerSchedule, len(net.Layers))}
-	errs := make([]error, len(net.Layers))
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// siblingFailed is set before the fail-fast cancel fires, so a layer
-	// whose search died *because* of that cancellation classifies as
-	// sibling-cancel rather than an ordinary search failure. The store
-	// happens-before the cancel, and the cancel happens-before any sibling
-	// observes it, so the flag is always visible to the layers it explains.
-	var siblingFailed atomic.Bool
-	failLayer := func(i int, name string, err error) {
-		lerr := &LayerError{Layer: name, Cause: core.ClassifyFailure(err, siblingFailed.Load()), Err: err}
-		errs[i] = lerr
-		out.Layers[i].Err = lerr
-		if !opt.ContinueOnError {
-			siblingFailed.Store(true)
-			cancel() // fail fast: siblings stop at their next poll
-		}
-	}
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range net.Layers {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			l := &net.Layers[i]
-			out.Layers[i].Layer = l.Name
-			defer func() {
-				if e := anytime.PanicErrorFrom(recover(), "schedule layer "+l.Name, nil); e != nil {
-					failLayer(i, l.Name, e)
-				}
-			}()
-			if prefail != nil && prefail[i] != nil {
-				failLayer(i, l.Name, prefail[i])
-				return
-			}
-			// Each layer's search gets its own root span — its own thread
-			// row in the exported trace — because layers run concurrently
-			// and would otherwise render as one overlapped track.
-			lctx := ctx
-			if tr := obs.TraceOf(ctx); tr != nil {
-				lsp := tr.StartRoot("layer " + l.Name)
-				defer lsp.End()
-				lctx = obs.WithSpan(ctx, lsp)
-			}
-			var res Result
-			var err error
-			if opt.Resilience != nil {
-				res, err = e.core.OptimizeResilient(lctx, l.Workload, a, opt.Options, *opt.Resilience)
-			} else {
-				res, err = e.OptimizeContext(lctx, l.Workload, a, opt.Options)
-			}
-			if err != nil {
-				failLayer(i, l.Name, err)
-				return
-			}
-			out.Layers[i] = LayerSchedule{Layer: l.Name, Result: res, Repeats: l.Repeats}
-		}(i)
-	}
-	wg.Wait()
-
-	for i := range out.Layers {
-		l := &out.Layers[i]
-		if l.Err != nil || l.Result.Mapping == nil {
-			out.Failed++
-			continue
-		}
-		out.TotalEnergyPJ += l.Result.Report.EnergyPJ * float64(l.Repeats)
-		out.TotalCycles += l.Result.Report.Cycles * float64(l.Repeats)
-	}
-	out.EDP = out.TotalEnergyPJ * out.TotalCycles
-	out.Elapsed = time.Since(start)
-	return out, errors.Join(errs...)
-}
-
-// ScheduleNetworkFused is (*Engine).ScheduleNetworkFused on a transient
-// Engine.
-func ScheduleNetworkFused(ctx context.Context, net *Network, a *Arch, opt NetworkOptions, fuse FusionOptions) (NetworkSchedule, error) {
-	return NewEngine().ScheduleNetworkFused(ctx, net, a, opt, fuse)
-}
-
-// ScheduleNetworkFused schedules the network with fusion-aware cuts
-// (internal/core's fused solver): contiguous chain segments connected by IR
-// edges may execute as one group whose intermediate tensors stay resident
-// on-chip instead of round-tripping DRAM, and an exact DP over the cut
-// space picks the grouping with the lowest total EDP. The all-singleton cut
-// is always a candidate, so the fused schedule never scores worse than the
-// unfused baseline (returned alongside in UnfusedEDP).
-//
-// The returned schedule expands layer repeats: Layers holds one entry per
-// executed chain position with Repeats 1, and Groups records the chosen
-// fusion cut over those positions. fuse.Resilience defaults to
-// opt.Resilience, so a caller's existing retry policy covers the fused
-// member searches too. Scheduling is fail-fast on the singleton baseline
-// (its failures are joined per-layer errors); a failed fused member merely
-// discards the groups that needed it.
-func (e *Engine) ScheduleNetworkFused(ctx context.Context, net *Network, a *Arch, opt NetworkOptions, fuse FusionOptions) (NetworkSchedule, error) {
-	if fuse.Resilience == nil {
-		fuse.Resilience = opt.Resilience
-	}
-	res, err := e.core.SolveNetworkFused(ctx, net, a, opt.Options, fuse)
-	if err != nil {
-		return NetworkSchedule{}, err
-	}
+// Layers holds one entry per executed chain position, and Groups the chosen
+// cut over those positions. Canceling ctx degrades every in-flight search to
+// its best-so-far mapping. A failed layer is a *LayerError on its entries:
+// by default the first failure cancels the sibling searches
+// (ContinueOnError lets them finish), the fusion sweep is skipped, and the
+// partial per-layer schedule comes back with the errors.Join of the layer
+// errors. A panic in one layer's search is isolated to that layer.
+func (e *Engine) ScheduleNetwork(ctx context.Context, net *Network, a *Arch, opt NetworkOptions) (NetworkSchedule, error) {
+	res, err := e.core.SolveNetworkFused(ctx, net, a, opt.Options,
+		core.FusionOptions{MaxGroup: opt.MaxGroup, ContinueOnError: opt.ContinueOnError})
 	out := NetworkSchedule{
 		Network:       res.Network,
 		Fused:         true,
@@ -373,6 +178,7 @@ func (e *Engine) ScheduleNetworkFused(ctx context.Context, net *Network, a *Arch
 		TotalCycles:   res.TotalCycles,
 		EDP:           res.EDP,
 		UnfusedEDP:    res.UnfusedEDP,
+		Failed:        res.Failed,
 		Elapsed:       res.Elapsed,
 	}
 	for _, g := range res.Groups {
@@ -385,10 +191,10 @@ func (e *Engine) ScheduleNetworkFused(ctx context.Context, net *Network, a *Arch
 			Cycles:   g.Cycles,
 		})
 		for i, m := range g.Members {
-			out.Layers = append(out.Layers, LayerSchedule{Layer: g.Layers[i], Result: m, Repeats: 1})
+			out.Layers = append(out.Layers, LayerSchedule{Layer: g.Layers[i], Result: m, Repeats: 1, Err: g.Err})
 		}
 	}
-	return out, nil
+	return out, err
 }
 
 // ResNet18Repeats gives the occurrence count of each ResNet18Layers shape in

@@ -21,6 +21,18 @@ func smallNet() []sunstone.ConvShape {
 	}
 }
 
+// scheduleShapes schedules a conv chain of shapes at batch 1 one layer per
+// group (MaxGroup 1), the per-layer schedule the failure tests inspect.
+func scheduleShapes(t *testing.T, ctx context.Context, shapes []sunstone.ConvShape, a *sunstone.Arch, opt sunstone.NetworkOptions) (sunstone.NetworkSchedule, error) {
+	t.Helper()
+	net, err := sunstone.FromConvShapes("net", shapes, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.MaxGroup = 1
+	return sunstone.ScheduleNetwork(ctx, net, a, opt)
+}
+
 // poisonProbe panics on every evaluation of the targeted layer's workload —
 // injected cost-model failure confined to one layer.
 type poisonProbe struct{ layer string }
@@ -39,8 +51,7 @@ func poisonedOptions(layer string) sunstone.Options {
 
 func TestScheduleNetworkPanicIsolatedToOneLayer(t *testing.T) {
 	before := runtime.NumGoroutine()
-	sched, err := sunstone.ScheduleNetworkContext(context.Background(), "net", smallNet(), 1, nil,
-		sunstone.Tiny(256), sunstone.NetworkOptions{Options: poisonedOptions("b"), ContinueOnError: true})
+	sched, err := scheduleShapes(t, context.Background(), smallNet(), sunstone.Tiny(256), sunstone.NetworkOptions{Options: poisonedOptions("b"), ContinueOnError: true})
 	if err == nil {
 		t.Fatal("poisoned layer must surface as an error")
 	}
@@ -76,8 +87,7 @@ func TestScheduleNetworkPanicIsolatedToOneLayer(t *testing.T) {
 }
 
 func TestScheduleNetworkFailFastCancelsSiblings(t *testing.T) {
-	sched, err := sunstone.ScheduleNetworkContext(context.Background(), "net", smallNet(), 1, nil,
-		sunstone.Tiny(256), sunstone.NetworkOptions{Options: poisonedOptions("a")})
+	sched, err := scheduleShapes(t, context.Background(), smallNet(), sunstone.Tiny(256), sunstone.NetworkOptions{Options: poisonedOptions("a")})
 	if err == nil {
 		t.Fatal("fail-fast schedule with a poisoned layer must error")
 	}
@@ -106,8 +116,7 @@ func TestScheduleNetworkAllLayersPoisoned(t *testing.T) {
 	model := cost.Default
 	model.Probe = poisonProbe{layer: "a"}
 	shapes := smallNet()[:1]
-	sched, err := sunstone.ScheduleNetworkContext(context.Background(), "net", shapes, 1, nil,
-		sunstone.Tiny(256), sunstone.NetworkOptions{Options: sunstone.Options{Model: model}, ContinueOnError: true})
+	sched, err := scheduleShapes(t, context.Background(), shapes, sunstone.Tiny(256), sunstone.NetworkOptions{Options: sunstone.Options{Model: model}, ContinueOnError: true})
 	if err == nil || sched.Failed != 1 {
 		t.Fatalf("fully poisoned net: err=%v failed=%d", err, sched.Failed)
 	}
@@ -120,8 +129,7 @@ func TestScheduleNetworkContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	sched, err := sunstone.ScheduleNetworkContext(ctx, "net", smallNet(), 1, nil,
-		sunstone.Tiny(256), sunstone.NetworkOptions{})
+	sched, err := scheduleShapes(t, ctx, smallNet(), sunstone.Tiny(256), sunstone.NetworkOptions{})
 	if err != nil {
 		t.Fatalf("canceled schedule should degrade, not fail: %v", err)
 	}
@@ -140,7 +148,7 @@ func TestScheduleNetworkContextCanceled(t *testing.T) {
 
 func TestOptimizeFacadeTimeout(t *testing.T) {
 	w := sunstone.Conv2D("big", 4, 64, 64, 28, 28, 3, 3, 1, 1)
-	res, err := sunstone.Optimize(w, sunstone.Simba(), sunstone.Options{Timeout: 10 * time.Millisecond})
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: sunstone.Simba()}, sunstone.Options{Timeout: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

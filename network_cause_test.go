@@ -7,32 +7,45 @@ import (
 	"testing"
 	"time"
 
+	"sunstone/internal/cost"
 	"sunstone/internal/faults"
 )
 
+// panicProbe panics on every evaluation of the named layer's workload: a
+// poisoned cost model confined to one layer.
+type panicProbe struct{ layer string }
+
+func (p panicProbe) BeforeEvaluate(m *Mapping) {
+	if m.Workload.Name == p.layer {
+		panic("poisoned cost model in layer " + p.layer)
+	}
+}
+
 // TestLayerCauseClassificationEndToEnd drives every FailureCause through the
-// public API: real ScheduleNetworkContext runs whose layers fail for each of
-// the five classified reasons, asserted via CauseOf on the per-layer errors.
+// public API: real ScheduleNetwork runs whose layers fail for each of the
+// five classified reasons, asserted via CauseOf on the per-layer errors.
 //
 //   - injected: a deterministic compile fault (internal/faults) fails the
 //     layer's problem compilation;
-//   - panic: a structurally invalid layer shape panics inside the layer
-//     goroutine (tensor.MustNew), contained as an *anytime.PanicError;
+//   - panic: the layer's cost-model Probe panics, contained as an
+//     *anytime.PanicError;
 //   - deadline: every evaluation is poisoned (so no valid mapping can ever
 //     complete) and a nanosecond timeout expires first;
 //   - sibling-cancel: a tiny poisoned layer fails fast and cancels a larger
 //     sibling before it can complete anything;
-//   - search: the poisoned layer runs to its natural end with nothing valid.
+//   - search: the layer's architecture admits no feasible mapping at all.
 func TestLayerCauseClassificationEndToEnd(t *testing.T) {
 	a := Tiny(256)
 	tiny := ConvShape{Name: "tiny", K: 1, C: 1, P: 1, Q: 1, R: 1, S: 1, StrideH: 1, StrideW: 1}
 	mid := ConvShape{Name: "mid", K: 8, C: 8, P: 7, Q: 7, R: 3, S: 3, StrideH: 1, StrideW: 1}
 	big := ConvShape{Name: "big", K: 64, C: 64, P: 28, Q: 28, R: 3, S: 3, StrideH: 1, StrideW: 1}
-	bad := ConvShape{Name: "bad"} // zero dims: Inference panics in tensor.MustNew
+	poisoned := cost.Default
+	poisoned.Probe = panicProbe{layer: "mid"}
 
 	cases := []struct {
 		name   string
 		spec   string // fault spec armed for the run ("" = none)
+		arch   *Arch  // nil = Tiny(256)
 		shapes []ConvShape
 		opt    NetworkOptions
 		layer  string // the layer whose cause is asserted
@@ -44,7 +57,9 @@ func TestLayerCauseClassificationEndToEnd(t *testing.T) {
 		},
 		{
 			name:   "panic",
-			shapes: []ConvShape{bad}, layer: "bad", want: CausePanic,
+			shapes: []ConvShape{mid},
+			opt:    NetworkOptions{Options: Options{Model: poisoned}},
+			layer:  "mid", want: CausePanic,
 		},
 		{
 			name: "deadline", spec: "evaluate:panic:1,seed=1",
@@ -60,13 +75,11 @@ func TestLayerCauseClassificationEndToEnd(t *testing.T) {
 			shapes: []ConvShape{tiny, big}, layer: "big", want: CauseSiblingCancel,
 		},
 		{
-			// An ordinary search failure: invalid options are rejected by
-			// Options.Validate before any search runs — a plain error with
-			// no injected fault, panic, or context signal in its chain.
-			name:   "search",
-			shapes: []ConvShape{tiny},
-			opt:    NetworkOptions{Options: Options{MinUtilization: 2}},
-			layer:  "tiny", want: CauseSearch,
+			// An ordinary search failure: an L1 too small for even a unit
+			// tile leaves no feasible candidate — a plain error with no
+			// injected fault, panic, or context signal in its chain.
+			name: "search", arch: Tiny(2),
+			shapes: []ConvShape{mid}, layer: "mid", want: CauseSearch,
 		},
 	}
 	for _, tc := range cases {
@@ -78,7 +91,15 @@ func TestLayerCauseClassificationEndToEnd(t *testing.T) {
 				}
 				defer faults.Activate(inj)()
 			}
-			sched, err := ScheduleNetworkContext(context.Background(), tc.name, tc.shapes, 1, nil, a, tc.opt)
+			net, err := FromConvShapes(tc.name, tc.shapes, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.arch == nil {
+				tc.arch = a
+			}
+			tc.opt.MaxGroup = 1
+			sched, err := ScheduleNetwork(context.Background(), net, tc.arch, tc.opt)
 			if err == nil {
 				t.Fatalf("schedule succeeded; wanted layer %q to fail with cause %q", tc.layer, tc.want)
 			}

@@ -2,6 +2,7 @@ package sunstone_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,12 +28,12 @@ func TestFuseSmoke(t *testing.T) {
 	a := sunstone.Tiny(1024)
 	opt := quickNetOpt(sunstone.Options{})
 
-	sched, err := sunstone.ScheduleNetworkFused(context.Background(), net, a, opt, sunstone.FusionOptions{})
+	sched, err := sunstone.ScheduleNetwork(context.Background(), net, a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sched.Fused {
-		t.Fatal("fused scheduler returned an unfused schedule")
+		t.Fatal("schedule not marked as produced by the fusion-aware scheduler")
 	}
 	if sched.EDP > sched.UnfusedEDP {
 		t.Errorf("fused EDP %v worse than unfused %v", sched.EDP, sched.UnfusedEDP)
@@ -48,86 +49,92 @@ func TestFuseSmoke(t *testing.T) {
 		t.Fatalf("schedule covers %d positions in groups, %d layers, want %d", at, len(sched.Layers), want)
 	}
 
-	// Fusion off: the all-singleton cut is the unfused baseline, and the
-	// plain per-layer IR scheduler agrees with it bit for bit.
-	off, err := sunstone.ScheduleNetworkFused(context.Background(), net, a, opt, sunstone.FusionOptions{MaxGroup: 1})
+	// Fusion off: the all-singleton cut is the unfused baseline.
+	opt.MaxGroup = 1
+	off, err := sunstone.ScheduleNetwork(context.Background(), net, a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.EDP != off.UnfusedEDP {
 		t.Errorf("fusion off: EDP %v != unfused %v", off.EDP, off.UnfusedEDP)
 	}
-	plain, err := sunstone.NewEngine().ScheduleNetworkIR(context.Background(), net, a, quickNetOpt(sunstone.Options{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.TotalEnergyPJ != off.TotalEnergyPJ || plain.TotalCycles != off.TotalCycles {
-		t.Errorf("fusion-off totals (%v, %v) diverge from the per-layer scheduler (%v, %v)",
-			off.TotalEnergyPJ, off.TotalCycles, plain.TotalEnergyPJ, plain.TotalCycles)
+	if len(off.Groups) != len(net.Positions()) {
+		t.Errorf("fusion off: %d groups for %d positions", len(off.Groups), len(net.Positions()))
 	}
 }
 
-// TestScheduleNetworkIRRepeatsWeighting drives the repeats weighting through
-// the IR adapters in both optimization directions: the legacy
-// (shapes, repeats) entry point and the direct IR path must agree bit for
-// bit, and the totals must be the repeats-weighted sums of the per-layer
-// reports.
+// TestScheduleNetworkIRRepeatsWeighting pins the per-layer schedule (MaxGroup
+// 1) of ResNet-18 at batch 16, repeats expanded, on both accelerators: every
+// chain position's mapping and Report equal an independent Engine.Solve of
+// that layer, and the totals are the left-to-right sums over positions —
+// both compared exactly.
 func TestScheduleNetworkIRRepeatsWeighting(t *testing.T) {
-	shapes := sunstone.ResNet18Layers[:3]
-	repeats := []int{1, 4, 1}
-	a := sunstone.Conventional()
-	for _, dir := range []struct {
+	net, err := sunstone.FromConvShapes("resnet18", sunstone.ResNet18Layers, 16, sunstone.ResNet18Repeats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := net.Positions()
+	for _, tc := range []struct {
 		name string
-		opt  sunstone.Options
+		arch *sunstone.Arch
 	}{
-		{"bottom-up", sunstone.Options{Direction: sunstone.BottomUp}},
-		{"top-down", sunstone.Options{Direction: sunstone.TopDown, TopDownVisitBudget: 200}},
+		{"conventional", sunstone.Conventional()},
+		{"simba", sunstone.Simba()},
 	} {
-		t.Run(dir.name, func(t *testing.T) {
-			opt := quickNetOpt(dir.opt)
-			legacy, err := sunstone.ScheduleNetworkContext(context.Background(), "head", shapes, 1, repeats, a, opt)
+		a := tc.arch
+		t.Run(tc.name, func(t *testing.T) {
+			opt := quickNetOpt(sunstone.Options{})
+			opt.MaxGroup = 1
+			sched, err := sunstone.ScheduleNetwork(context.Background(), net, a, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			net, err := sunstone.FromConvShapes("head", shapes, 1, repeats)
-			if err != nil {
-				t.Fatal(err)
+			if len(sched.Layers) != len(pos) {
+				t.Fatalf("%d layer entries for %d chain positions", len(sched.Layers), len(pos))
 			}
-			ir, err := sunstone.NewEngine().ScheduleNetworkIR(context.Background(), net, a, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if legacy.TotalEnergyPJ != ir.TotalEnergyPJ || legacy.TotalCycles != ir.TotalCycles || legacy.EDP != ir.EDP {
-				t.Errorf("legacy adapter and IR path diverge: (%v, %v, %v) vs (%v, %v, %v)",
-					legacy.TotalEnergyPJ, legacy.TotalCycles, legacy.EDP,
-					ir.TotalEnergyPJ, ir.TotalCycles, ir.EDP)
-			}
+			ref := sunstone.NewEngine()
+			solved := map[int]sunstone.Result{}
 			var wantE, wantC float64
-			for i, l := range ir.Layers {
-				if l.Repeats != repeats[i] {
-					t.Errorf("layer %d repeats = %d, want %d", i, l.Repeats, repeats[i])
+			for i, p := range pos {
+				want, ok := solved[p.Layer]
+				if !ok {
+					want, err = ref.Solve(context.Background(),
+						sunstone.Problem{Workload: net.Layers[p.Layer].Workload, Arch: a}, opt.Options)
+					if err != nil {
+						t.Fatal(err)
+					}
+					solved[p.Layer] = want
 				}
-				wantE += l.Result.Report.EnergyPJ * float64(l.Repeats)
-				wantC += l.Result.Report.Cycles * float64(l.Repeats)
+				got := sched.Layers[i]
+				if got.Layer != net.Layers[p.Layer].Name || got.Err != nil {
+					t.Fatalf("position %d: layer %q err %v, want %q", i, got.Layer, got.Err, net.Layers[p.Layer].Name)
+				}
+				if got.Result.Mapping.String() != want.Mapping.String() {
+					t.Errorf("position %d (%s): mapping differs from an independent Solve", i, got.Layer)
+				}
+				if !reflect.DeepEqual(got.Result.Report, want.Report) {
+					t.Errorf("position %d (%s): report differs from an independent Solve", i, got.Layer)
+				}
+				wantE += got.Result.Report.EnergyPJ
+				wantC += got.Result.Report.Cycles
 			}
-			if ir.TotalEnergyPJ != wantE || ir.TotalCycles != wantC {
-				t.Errorf("totals not repeats-weighted: (%v, %v), want (%v, %v)",
-					ir.TotalEnergyPJ, ir.TotalCycles, wantE, wantC)
+			if sched.TotalEnergyPJ != wantE || sched.TotalCycles != wantC || sched.EDP != wantE*wantC {
+				t.Errorf("totals (%v, %v, %v) are not the position sums (%v, %v, %v)",
+					sched.TotalEnergyPJ, sched.TotalCycles, sched.EDP, wantE, wantC, wantE*wantC)
 			}
 		})
 	}
 }
 
-// TestScheduleNetworkIRFailFast drives the fail-fast policy through the IR
-// path in both optimization directions: an unsolvable layer fails, and its
-// failure cancels the sibling search, which classifies as sibling-cancel.
+// TestScheduleNetworkIRFailFast drives the fail-fast policy in both
+// optimization directions: a layer whose cost model panics on every
+// evaluation fails, and its failure cancels the long sibling search, which
+// either degrades to its best-so-far mapping or classifies as
+// sibling-cancel.
 func TestScheduleNetworkIRFailFast(t *testing.T) {
-	// MinUtilization 2 is unsatisfiable: the tiny layer fails immediately
-	// while the big sibling is still searching under valid options... but
-	// options are shared. Instead: a layer whose nil workload errors at
-	// once, against a big sibling that needs real search time.
+	bad := sunstone.ConvShape{Name: "bad", K: 4, C: 4, P: 4, Q: 4, R: 1, S: 1, StrideH: 1, StrideW: 1}
 	big := sunstone.ResNet18Layers[1] // conv2_x, 56x56x64: a long search
-	bigNet, err := sunstone.FromConvShapes("pair", []sunstone.ConvShape{big}, 1, nil)
+	net, err := sunstone.FromConvShapes("pair", []sunstone.ConvShape{bad, big}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,16 +146,10 @@ func TestScheduleNetworkIRFailFast(t *testing.T) {
 		{"top-down", sunstone.Options{Direction: sunstone.TopDown}},
 	} {
 		t.Run(dir.name, func(t *testing.T) {
-			net := &sunstone.Network{
-				Name: "pair",
-				Layers: []sunstone.Layer{
-					{Name: "bad", Workload: nil, Repeats: 1}, // fails instantly
-					bigNet.Layers[0],
-				},
-			}
-			sched, err := sunstone.NewEngine().ScheduleNetworkIR(
-				context.Background(), net, sunstone.Conventional(),
-				sunstone.NetworkOptions{Options: dir.opt})
+			opt := poisonedOptions("bad")
+			opt.Direction = dir.opt.Direction
+			sched, err := sunstone.NewEngine().ScheduleNetwork(context.Background(), net,
+				sunstone.Conventional(), sunstone.NetworkOptions{Options: opt, MaxGroup: 1})
 			if err == nil {
 				t.Fatal("expected the bad layer to fail the schedule")
 			}
@@ -172,8 +173,8 @@ func TestScheduleNetworkIRFailFast(t *testing.T) {
 // headerless array still reads as a layer-per-entry schedule.
 func TestNetworkScheduleSerdeRoundTrip(t *testing.T) {
 	net := sunstone.TransformerChain(16, 16, 64)
-	sched, err := sunstone.ScheduleNetworkFused(context.Background(), net,
-		sunstone.Tiny(1024), quickNetOpt(sunstone.Options{}), sunstone.FusionOptions{})
+	sched, err := sunstone.ScheduleNetwork(context.Background(), net,
+		sunstone.Tiny(1024), quickNetOpt(sunstone.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}

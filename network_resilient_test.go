@@ -21,8 +21,7 @@ func TestScheduleNetworkClassifiesInjectedFailures(t *testing.T) {
 	restore := faults.Activate(inj)
 	defer restore()
 
-	sched, err := sunstone.ScheduleNetworkContext(context.Background(), "net", smallNet(), 1, nil,
-		sunstone.Tiny(256), sunstone.NetworkOptions{ContinueOnError: true})
+	sched, err := scheduleShapes(t, context.Background(), smallNet(), sunstone.Tiny(256), sunstone.NetworkOptions{ContinueOnError: true})
 	if err == nil || sched.Failed != len(sched.Layers) {
 		t.Fatalf("every layer must fail on a dead compiler: err=%v failed=%d", err, sched.Failed)
 	}
@@ -40,8 +39,7 @@ func TestScheduleNetworkClassifiesInjectedFailures(t *testing.T) {
 // TestScheduleNetworkClassifiesPanicFailures: a poisoned cost model (not an
 // injected chaos fault) classifies as CausePanic.
 func TestScheduleNetworkClassifiesPanicFailures(t *testing.T) {
-	sched, err := sunstone.ScheduleNetworkContext(context.Background(), "net", smallNet(), 1, nil,
-		sunstone.Tiny(256), sunstone.NetworkOptions{Options: poisonedOptions("b"), ContinueOnError: true})
+	sched, err := scheduleShapes(t, context.Background(), smallNet(), sunstone.Tiny(256), sunstone.NetworkOptions{Options: poisonedOptions("b"), ContinueOnError: true})
 	if err == nil {
 		t.Fatal("poisoned layer must surface as an error")
 	}
@@ -56,7 +54,7 @@ func TestScheduleNetworkClassifiesPanicFailures(t *testing.T) {
 }
 
 // TestScheduleNetworkResilientSurvivesInjectedFailures is the degraded-mode
-// counterpart: the same 100% compile fault, but with a Resilience policy the
+// counterpart: the same 100% compile fault, but with Options.Retry set the
 // schedule succeeds — every layer degrades to the first fallback (which
 // builds its cost session without the engine's compile path) and records its
 // failed primary attempts.
@@ -69,8 +67,7 @@ func TestScheduleNetworkResilientSurvivesInjectedFailures(t *testing.T) {
 	restore := faults.Activate(inj)
 	defer restore()
 
-	sched, err := sunstone.ScheduleNetworkContext(context.Background(), "net", smallNet(), 1, nil,
-		sunstone.Tiny(256), sunstone.NetworkOptions{Resilience: &sunstone.RetryPolicy{}})
+	sched, err := scheduleShapes(t, context.Background(), smallNet(), sunstone.Tiny(256), sunstone.NetworkOptions{Options: sunstone.Options{Retry: &sunstone.RetryPolicy{}}})
 	if err != nil {
 		t.Fatalf("resilient schedule must survive compile faults: %v", err)
 	}

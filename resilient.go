@@ -1,8 +1,6 @@
 package sunstone
 
 import (
-	"context"
-
 	"sunstone/internal/baselines"
 	"sunstone/internal/baselines/registry"
 	"sunstone/internal/core"
@@ -14,9 +12,10 @@ import (
 // degradation").
 
 type (
-	// RetryPolicy configures OptimizeResilient: primary retries with budget
-	// backoff, the fallback-mapper chain, and the attempt cap. The zero
-	// value selects DefaultRetryPolicy.
+	// RetryPolicy configures the graceful-degradation path a search takes
+	// when Options.Retry is set: primary retries with budget backoff, the
+	// fallback-mapper chain, and the attempt cap. The zero value selects
+	// DefaultRetryPolicy.
 	RetryPolicy = core.RetryPolicy
 	// Attempt is one recorded try of the resilient path (Result.Attempts).
 	Attempt = core.Attempt
@@ -30,26 +29,6 @@ type (
 // primary retries at half budgets each, then the
 // timeloop-random-lite -> innermost-fit fallback chain, at most 32 attempts.
 func DefaultRetryPolicy() RetryPolicy { return core.DefaultRetryPolicy() }
-
-// OptimizeResilient is Optimize hardened for environments where searches can
-// fail: bounded primary retries with budget backoff, then pol's fallback-
-// mapper chain (ending, by default, in the guaranteed-feasible innermost-fit
-// construction), with every accepted result passing a final mapping audit —
-// structural validation, a full cost-model evaluation, and a bit-exact
-// fast-path cross-check. Attempts are recorded in Result.Attempts;
-// Result.FallbackUsed names the fallback that produced the mapping (""
-// means the primary search). The error is non-nil only when every attempt
-// failed. It runs on a transient Engine; hold an Engine to reuse compiled
-// artifacts across calls.
-func OptimizeResilient(ctx context.Context, w *Workload, a *Arch, opt Options, pol RetryPolicy) (Result, error) {
-	return NewEngine().OptimizeResilient(ctx, w, a, opt, pol)
-}
-
-// OptimizeResilient runs the graceful-degradation search through the
-// Engine's compilation cache; see the package-level OptimizeResilient.
-func (e *Engine) OptimizeResilient(ctx context.Context, w *Workload, a *Arch, opt Options, pol RetryPolicy) (Result, error) {
-	return e.core.OptimizeResilient(ctx, w, a, opt, pol)
-}
 
 // Open the whole baseline registry — comparison mappers and the degraded-
 // mode fallbacks — as RetryPolicy.Fallbacks candidates. The core package

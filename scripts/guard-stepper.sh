@@ -1,12 +1,23 @@
 #!/bin/sh
-# guard-stepper.sh — keep the level search unified.
+# guard-stepper.sh — keep the level search and the public entry points
+# unified.
 #
-# PR 4 merged the former bottomUp/topDown drivers into one direction-agnostic
-# level sequencer (internal/core/stepper.go). This guard fails the build if
-# direction-specific entry points reappear: no Go file may call a function
-# named bottomUp or topDown (the per-direction expansion hooks are named
-# expandBottom/expandTop and live behind the sequencer), and nothing may
-# reference core.bottomUp/core.topDown from outside the core package.
+# 1. The former bottomUp/topDown drivers are merged into one
+#    direction-agnostic level sequencer (internal/core/stepper.go). The
+#    guard fails if direction-specific entry points reappear: no Go file may
+#    call a function named bottomUp or topDown (the per-direction expansion
+#    hooks are named expandBottom/expandTop and live behind the sequencer),
+#    and nothing may reference core.bottomUp/core.topDown from outside the
+#    core package.
+# 2. There is one way to solve a problem (Solve, Engine.Solve) and one way to
+#    schedule a network (ScheduleNetwork, Engine.ScheduleNetwork). The guard
+#    fails if a removed entry point is declared again in the root package or
+#    internal/core — Optimize, OptimizeContext, OptimizeResilient, the
+#    ScheduleNetworkContext/IR/Fused variants and their helpers, the root
+#    SolveContext — or if anything declares NewServer (sunstoned builds its
+#    server with internal/server.New directly).
+#
+# Run from anywhere: ./scripts/guard-stepper.sh
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -25,6 +36,17 @@ fi
 # exported by mistake.
 if grep -rnE --include='*.go' 'core\.(bottomUp|topDown)\b' . ; then
 	echo "guard-stepper: do not reference core.bottomUp/core.topDown" >&2
+	status=1
+fi
+
+# Removed solve/schedule entry points, as functions or methods.
+removed='Optimize|OptimizeContext|OptimizeResilient|ScheduleNetworkContext|ScheduleNetworkIR|ScheduleNetworkFused|scheduleNetworkIR|convNetworkIR'
+decl='^func (\([^)]*\) )?'
+if grep -nE --include='*.go' "$decl($removed)\(" ./*.go internal/core/*.go ||
+	grep -nE "${decl}SolveContext\(" ./*.go ||
+	grep -rnE --include='*.go' "${decl}NewServer\(" . ; then
+	echo "guard-stepper: removed entry points are declared again;" >&2
+	echo "solve through Solve/Engine.Solve and schedule through ScheduleNetwork/Engine.ScheduleNetwork" >&2
 	status=1
 fi
 

@@ -5,7 +5,7 @@
 // Given a tensor-algebra workload (convolution, MTTKRP, TTMc, SDDMM, MMc,
 // TCL, or anything expressible as a freely-reorderable nested loop over
 // dense index expressions) and an accelerator description (multi-level
-// memories, per-datatype buffers, multi-level spatial fanout), Optimize
+// memories, per-datatype buffers, multi-level spatial fanout), Solve
 // returns the tiling / loop-ordering / spatial-unrolling mapping with the
 // best energy-delay product under a Timeloop-style analytic cost model.
 //
@@ -20,22 +20,25 @@
 //
 //	w := sunstone.Conv2D("layer", 16, 64, 64, 56, 56, 3, 3, 1, 1)
 //	p := sunstone.Problem{Workload: w, Arch: sunstone.Simba()}
-//	res, err := sunstone.Solve(p, sunstone.Options{})
+//	res, err := sunstone.Solve(context.Background(), p, sunstone.Options{})
 //	fmt.Println(res.Mapping, res.Report.EDP)
 //
-// Problem bundles everything that identifies one scheduling problem —
-// workload, architecture, and (optionally) a non-default cost model — and
-// Solve/SolveContext/Engine.Solve all take it. The positional
-// Optimize(w, a, opt) wrappers remain and behave identically.
+// There are two entry points, each also an Engine method that reuses
+// compiled per-problem artifacts across calls: Solve maps one Problem
+// (workload, architecture, optional non-default cost model), and
+// ScheduleNetwork maps a whole layer chain (a Network, built with
+// FromConvShapes or TransformerChain), fusing adjacent layers where that
+// lowers the network's EDP. Options.Retry switches either onto the
+// graceful-degradation path: bounded retries, then fallback mappers, every
+// accepted mapping passing a final audit.
 //
 // # Anytime optimization: cancellation, deadlines, graceful degradation
 //
-// Every search entry point is an *anytime* algorithm. OptimizeContext (and
-// Optimize with Options.Timeout set) polls cancellation at bounded
-// intervals; when the context is canceled or its deadline expires, the
-// search stops within one polling interval — in practice well under 100ms —
-// and returns the best mapping completed so far, with Result.Stopped
-// recording why it returned:
+// Every search is an *anytime* algorithm. Solve polls its context (and
+// Options.Timeout) at bounded intervals; when the context is canceled or
+// its deadline expires, the search stops within one polling interval — in
+// practice well under 100ms — and returns the best mapping completed so
+// far, with Result.Stopped recording why it returned:
 //
 //   - StopComplete — the search ran to its natural end;
 //   - StopDeadline — Options.Timeout or the context deadline expired;
@@ -56,10 +59,10 @@
 // converts a panicking cost-model evaluation into a per-candidate error
 // carrying the offending mapping serialized for reproduction (see
 // Result.CandidateErrors), so one poisoned candidate degrades a single
-// evaluation instead of killing the process. ScheduleNetworkContext extends
-// the same contract across layers: fail-fast sibling cancellation by
-// default, or NetworkOptions.ContinueOnError to collect every per-layer
-// error (joined with errors.Join) while still returning the layers that
+// evaluation instead of killing the process. ScheduleNetwork extends the
+// same contract across layers: fail-fast sibling cancellation by default,
+// or NetworkOptions.ContinueOnError to collect every per-layer error
+// (joined with errors.Join) while still returning the layers that
 // succeeded. The baseline mappers implement the same deadline contract via
 // BaselineMapper.MapContext, so head-to-head time-bounded comparisons are
 // fair. See DESIGN.md ("Anytime search") for the full taxonomy.
@@ -118,7 +121,7 @@ type (
 	AnalyticalOptions = core.AnalyticalOptions
 	// Problem bundles a workload, an architecture, and an optional
 	// non-default cost model into one value identifying a scheduling
-	// problem — the canonical input of Solve and Engine.Solve.
+	// problem — the input of Solve and Engine.Solve.
 	Problem = core.Problem
 	// Result is the outcome of an optimization run.
 	Result = core.Result
@@ -258,8 +261,8 @@ const (
 // Trace collects hierarchical timed spans of a search for export in the
 // Chrome trace-event JSON format (chrome://tracing, ui.perfetto.dev).
 // Install one on a context with WithTrace, run any context-taking entry
-// point (OptimizeContext, ScheduleNetworkContext, BaselineMapper.MapContext),
-// then render it with its WriteJSON method.
+// point (Solve, ScheduleNetwork, BaselineMapper.MapContext), then render it
+// with its WriteJSON method.
 type Trace = obs.Trace
 
 // NewTrace returns an empty trace whose clock starts now.
@@ -272,38 +275,14 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return obs.WithTrace(ctx, t)
 }
 
-// Solve runs the Sunstone optimizer on a Problem. It is SolveContext with a
-// background context; Options.Timeout still bounds the wall-clock.
-func Solve(p Problem, opt Options) (Result, error) {
-	return core.Solve(p, opt)
-}
-
-// SolveContext runs the Sunstone optimizer on a Problem under ctx as an
-// anytime algorithm: on cancellation or deadline it returns the best mapping
-// completed so far with Result.Stopped set (see the package comment). This is
-// the canonical entry point; Optimize/OptimizeContext are positional-argument
-// wrappers over it.
-func SolveContext(ctx context.Context, p Problem, opt Options) (Result, error) {
+// Solve runs the Sunstone optimizer on a Problem under ctx as an anytime
+// algorithm: on cancellation, deadline or Options.Timeout it returns the best
+// mapping completed so far with Result.Stopped set (see the package
+// comment). With Options.Retry set it takes the graceful-degradation path
+// and records every try in Result.Attempts. It compiles the problem afresh;
+// Engine.Solve reuses compiled artifacts across calls.
+func Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 	return core.SolveContext(ctx, p, opt)
-}
-
-// Optimize runs the Sunstone optimizer. It is OptimizeContext with a
-// background context; Options.Timeout still bounds the wall-clock.
-//
-// Deprecated-style note: Solve with a Problem is the canonical entry point;
-// this wrapper remains for positional-argument callers and is not going away.
-func Optimize(w *Workload, a *Arch, opt Options) (Result, error) {
-	return core.Optimize(w, a, opt)
-}
-
-// OptimizeContext runs the Sunstone optimizer under ctx as an anytime
-// algorithm: on cancellation or deadline it returns the best mapping
-// completed so far with Result.Stopped set (see the package comment).
-//
-// Deprecated-style note: SolveContext with a Problem is the canonical entry
-// point; this wrapper remains for positional-argument callers.
-func OptimizeContext(ctx context.Context, w *Workload, a *Arch, opt Options) (Result, error) {
-	return core.OptimizeContext(ctx, w, a, opt)
 }
 
 // Evaluate scores an arbitrary mapping with the default cost model.
@@ -311,7 +290,7 @@ func Evaluate(m *Mapping) Report { return cost.Evaluate(m) }
 
 // CostSession holds the precomputed per-(workload, arch) tables and the
 // search-wide memoization cache of the scalar fast-path cost evaluator.
-// Optimize builds one internally per run; build one yourself (NewCostSession)
+// Solve builds one internally per run; build one yourself (NewCostSession)
 // to score many mappings of the same workload on the same architecture
 // without Report allocation overhead.
 type CostSession = cost.Session
