@@ -31,8 +31,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # guard enforces that the direction-specific entry points stay merged (no
-# code outside the unified level sequencer may call bottomUp/topDown) and
-# that the removed solve/schedule entry points are not declared again.
+# code outside the unified level sequencer may call bottomUp/topDown), that
+# the removed solve/schedule entry points are not declared again, and that
+# the map-walking reference cost model stays in internal/cost's tests.
 guard:
 	./scripts/guard-stepper.sh
 

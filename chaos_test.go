@@ -36,9 +36,9 @@ func auditLayer(t *testing.T, run int, l sunstone.LayerSchedule) {
 		t.Fatalf("run %d layer %s: full evaluation rejects the audited mapping: %v",
 			run, l.Layer, full.Invalid)
 	}
-	edp, energy, cycles, ok := sunstone.EvaluateEDP(res.Mapping)
+	edp, energy, cycles, ok := sunstone.NewCostSession(res.Mapping.Workload, res.Mapping.Arch).NewEvaluator().EvaluateEDP(res.Mapping)
 	if !ok || edp != full.EDP || energy != full.EnergyPJ || cycles != full.Cycles {
-		t.Fatalf("run %d layer %s: fast path (%g/%g/%g ok=%v) disagrees with full evaluation (%g/%g/%g)",
+		t.Fatalf("run %d layer %s: scalar path (%g/%g/%g ok=%v) disagrees with the full report (%g/%g/%g)",
 			run, l.Layer, edp, energy, cycles, ok, full.EDP, full.EnergyPJ, full.Cycles)
 	}
 	if len(res.Attempts) == 0 {

@@ -102,10 +102,14 @@ func TestCrashRecoverySmoke(t *testing.T) {
 
 	cmd, base := startDaemon(t, bin, durableFlags...)
 
-	// A big conv with a generous budget: guaranteed still searching when
-	// the process is killed.
+	// A top-down search with a generous budget: uninterrupted, this conv
+	// takes about 7 s in a fresh daemon on a 2-core x86-64 box (a bottom-up
+	// search finishes in ~100 ms, which raced the kill below), so it is
+	// still searching when the process is killed after its first
+	// checkpoint.
 	slow := submitJob(t, base, `{"tenant":"crash","arch":"conventional","timeout_ms":120000,
-		"conv":{"N":16,"K":64,"C":64,"P":28,"Q":28,"R":3,"S":3}}`)
+		"options":{"direction":"top-down"},
+		"conv":{"N":4,"K":32,"C":32,"P":14,"Q":14,"R":3,"S":3}}`)
 
 	// Wait for a checkpoint to reach the journal, then kill without grace.
 	deadline := time.Now().Add(30 * time.Second)

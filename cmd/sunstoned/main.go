@@ -123,6 +123,12 @@ func run() error {
 		}
 	}
 
+	// Catch signals before announcing the address: a harness that sends
+	// SIGTERM as soon as it reads the "listening on" line must get a drain,
+	// not the default kill.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -146,8 +152,6 @@ func run() error {
 		go func() { serveErr <- debugSrv.Serve(dln) }()
 	}
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		log.Printf("caught %s, draining (grace for in-flight jobs; second signal forces exit)", s)

@@ -46,9 +46,9 @@ func TestSeedValidEverywhere(t *testing.T) {
 				t.Errorf("%s/%s: seed invalid: %v", aname, w.Name, verr)
 				continue
 			}
-			edp, _, _, valid := cost.Default.EvaluateEDP(m)
-			if !valid || edp <= 0 {
-				t.Errorf("%s/%s: seed does not evaluate (valid=%t edp=%g)", aname, w.Name, valid, edp)
+			rep := cost.Evaluate(m)
+			if !rep.Valid || rep.EDP <= 0 {
+				t.Errorf("%s/%s: seed does not evaluate (valid=%t edp=%g)", aname, w.Name, rep.Valid, rep.EDP)
 			}
 		}
 	}
@@ -86,8 +86,8 @@ func TestSeedBeatsTrivial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", aname, err)
 		}
-		seedEDP, _, _, valid := cost.Default.EvaluateEDP(m)
-		if !valid {
+		seed := cost.Evaluate(m)
+		if !seed.Valid {
 			t.Fatalf("%s: seed invalid", aname)
 		}
 		// The trivial incumbent the seed replaces: every factor temporal at
@@ -102,9 +102,9 @@ func TestSeedBeatsTrivial(t *testing.T) {
 		for _, d := range w.Order {
 			triv.Levels[top].Temporal[d] = w.Dims[d]
 		}
-		trivEDP, _, _, trivValid := cost.Default.EvaluateEDP(triv)
-		if trivValid && seedEDP >= trivEDP {
-			t.Errorf("%s: seed EDP %g no better than trivial %g", aname, seedEDP, trivEDP)
+		trivial := cost.Evaluate(triv)
+		if trivial.Valid && seed.EDP >= trivial.EDP {
+			t.Errorf("%s: seed EDP %g no better than trivial %g", aname, seed.EDP, trivial.EDP)
 		}
 	}
 }

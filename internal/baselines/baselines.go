@@ -84,18 +84,18 @@ func SessionFor(src SessionSource, model cost.Model, w *tensor.Workload, a *arch
 
 // FinalReport materializes the full cost.Report — breakdowns, per-buffer
 // accesses — for the winning mapping of a search that scored candidates on
-// the fast scalar path (cost.Evaluator.EvaluateEDP). The scalar path already
-// established the mapping's objective and validity; this recovers the
-// detailed report for display. A cost-model panic here (e.g. an injected
-// probe fault) falls back to a Report synthesized from the scalars instead
-// of losing the search's result.
-func FinalReport(model cost.Model, m *mapping.Mapping, edp, energyPJ, cycles float64, valid bool) (rep cost.Report) {
+// the scalar path (cost.Evaluator.EvaluateEDP), using an Evaluator of the
+// search's own Session. The scalar path already established the mapping's
+// objective and validity; this recovers the detailed report for display. A
+// cost-model panic here (e.g. an injected probe fault) falls back to a
+// Report synthesized from the scalars instead of losing the search's result.
+func FinalReport(ev *cost.Evaluator, m *mapping.Mapping, edp, energyPJ, cycles float64, valid bool) (rep cost.Report) {
 	defer func() {
 		if e := anytime.PanicErrorFrom(recover(), "final report evaluation", m.String); e != nil {
 			rep = cost.Report{Valid: valid, EDP: edp, EnergyPJ: energyPJ, Cycles: cycles}
 		}
 	}()
-	return model.Evaluate(m)
+	return ev.Report(m)
 }
 
 // Instrument runs one tool's search under a telemetry span named after the

@@ -197,7 +197,7 @@ search:
 		}
 		return best
 	}
-	best.Report = baselines.FinalReport(m.Model, best.Mapping, bestEDP, bestEnergyPJ, bestCycles, true)
+	best.Report = baselines.FinalReport(ev, best.Mapping, bestEDP, bestEnergyPJ, bestCycles, true)
 	best.Valid = true
 	return best
 }

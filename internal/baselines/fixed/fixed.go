@@ -183,8 +183,8 @@ func (m *Mapper) Map(w *tensor.Workload, a *arch.Arch) baselines.Result {
 	}
 
 	// A fixed dataflow evaluates exactly one mapping and that evaluation is
-	// the final report, so the full model runs directly — the scalar fast
-	// path (cost.Evaluator) would only add a second pass here.
+	// the final report, so it goes straight to the full Report — a separate
+	// scalar pass would only evaluate it twice.
 	rep := m.Model.Evaluate(cur)
 	res.Mapping = cur
 	res.Report = rep

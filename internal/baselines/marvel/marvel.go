@@ -205,7 +205,7 @@ func (m *Mapper) Map(w *tensor.Workload, a *arch.Arch) baselines.Result {
 		res.InvalidReason = "no on-chip mapping meets the utilization threshold"
 		return res
 	}
-	res.Report = baselines.FinalReport(m.Model, res.Mapping, bestEDP, bestEnergyPJ, bestCycles, true)
+	res.Report = baselines.FinalReport(ev, res.Mapping, bestEDP, bestEnergyPJ, bestCycles, true)
 	res.Valid = true
 	return res
 }

@@ -213,7 +213,7 @@ func (m *Mapper) mapContext(ctx context.Context, w *tensor.Workload, a *arch.Arc
 		}
 	}
 	if out.Mapping != nil {
-		out.Report = baselines.FinalReport(m.Model, out.Mapping, bestEDP, bestEnergyPJ, bestCycles, true)
+		out.Report = baselines.FinalReport(sess.NewEvaluator(), out.Mapping, bestEDP, bestEnergyPJ, bestCycles, true)
 	}
 	switch {
 	case anytime.FromContext(ctx) != anytime.Complete:

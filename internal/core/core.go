@@ -248,12 +248,16 @@ type Options struct {
 
 // AnalyticalOptions groups the knobs of the analytical layer: the one-shot
 // GOMA-style seed mapping installed as the alpha-beta incumbent before
-// enumeration starts, and the admissible per-candidate lower bound that cuts
-// subtrees whose cost floor already exceeds the incumbent. Both default to
-// on (see DefaultOptions); both are sound — the seed only tightens the
-// incumbent the search already maintains, and the bound only discards
-// candidates that provably cannot beat it — so disabling them changes how
-// much work the search does, never which mapping it returns.
+// enumeration starts, and the per-candidate lower bound that cuts subtrees
+// whose cost floor already exceeds the incumbent. Both default to on (see
+// DefaultOptions). Both can change which mapping the search returns, not
+// only how much work it does: a tighter incumbent prunes the beam
+// differently, and the bound is meant to be admissible but is not
+// everywhere. On the strided 1x1 downsampling convs (ResNet-18
+// conv3_ds/conv4_ds/conv5_ds at batch 16) valid mappings evaluate to
+// 0.44-0.94x of the bound, so with Bounds on the search may cut mappings it
+// should keep there; perfbench counts these cases as
+// analytic.bound_violations.
 type AnalyticalOptions struct {
 	// Seed computes, validates, and fully evaluates a closed-form seed
 	// mapping before enumeration starts, installing it as the initial
@@ -261,10 +265,12 @@ type AnalyticalOptions struct {
 	// to the pre-seeding behavior (recorded in Result.CandidateErrors),
 	// never a hard failure.
 	Seed bool
-	// Bounds consults the compile-time admissible lower bound
+	// Bounds consults the compile-time lower bound
 	// (cost.Session.LowerBound) on every materialized candidate before
 	// evaluation, discarding those whose floor already exceeds the
-	// incumbent. Cuts are counted in SearchStats.BoundPruned.
+	// incumbent. Cuts are counted in SearchStats.BoundPruned. The bound is
+	// not admissible on strided 1x1 convs (see AnalyticalOptions), where
+	// a cut can discard a better mapping.
 	Bounds bool
 }
 
@@ -728,20 +734,20 @@ func (sc *search) dedupe(ms []*mapping.Mapping) []*mapping.Mapping {
 	return out
 }
 
-// safeEval evaluates m with the given model, converting a panic in the cost
-// model into an invalid report plus a *anytime.PanicError. Used wherever a
-// single evaluation runs outside the evalAll worker pool.
-func safeEval(model cost.Model, m *mapping.Mapping) (rep cost.Report, err error) {
+// safeReport materializes m's full Report on ev, converting a panic in the
+// cost model into an invalid report plus a *anytime.PanicError. Used
+// wherever a single evaluation runs outside the evalAll worker pool.
+func safeReport(ev *cost.Evaluator, m *mapping.Mapping) (rep cost.Report, err error) {
 	defer func() {
 		if e := anytime.PanicErrorFrom(recover(), "evaluate mapping", func() string { return reproMapping(m) }); e != nil {
 			rep = cost.Report{EDP: math.Inf(1), EnergyPJ: math.Inf(1), Cycles: math.Inf(1), Invalid: e}
 			err = e
 		}
 	}()
-	return model.Evaluate(m), nil
+	return ev.Report(m), nil
 }
 
-// safeEvalFast is safeEval on the fast path: one scalar evaluation with the
+// safeEvalFast is safeReport on the scalar path: one evaluation with the
 // given scratch evaluator, panics contained.
 func (sc *search) safeEvalFast(ev *cost.Evaluator, m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool, err error) {
 	defer func() {
@@ -755,12 +761,14 @@ func (sc *search) safeEvalFast(ev *cost.Evaluator, m *mapping.Mapping) (edp, ene
 }
 
 // finalReport materializes the full cost.Report — breakdowns, per-buffer
-// accesses — for the mapping a search is about to return. The fast path
-// proved the mapping valid with the given scalars; if the full model
-// panics here (an injected probe fault, say), fall back to a Report
-// synthesized from those scalars rather than losing the result.
+// accesses — for the mapping a search is about to return, on the search's
+// own Session (the worker pool is idle by then, so the first scratch
+// evaluator is free). The scalar path proved the mapping valid with the
+// given scalars; if the report panics here (an injected probe fault, say),
+// fall back to a Report synthesized from those scalars rather than losing
+// the result.
 func (sc *search) finalReport(m *mapping.Mapping, energyPJ, cycles float64) cost.Report {
-	rep, err := safeEval(sc.opt.Model, m)
+	rep, err := safeReport(sc.evs[0], m)
 	if err == nil {
 		return rep
 	}

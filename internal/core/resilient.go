@@ -307,15 +307,16 @@ func shrinkOptions(o Options, f float64) Options {
 //
 //  1. structural legality — mapping.Validate covers factor coverage, buffer
 //     capacity (the fit check), fanout and spatial-reduction legality;
-//  2. a full cost-model evaluation must succeed and report Valid;
-//  3. the fast-path evaluator must agree with the full evaluation bit for
-//     bit on EDP, energy and cycles — this is what catches a corrupted
-//     memo-cache read (chaos site "cache-get") or any fast-path divergence.
+//  2. an uncached Report on the problem's Session must succeed and report
+//     Valid;
+//  3. the memoized scalar path (EvaluateEDP) must agree with that Report
+//     bit for bit on EDP, energy and cycles — this is what catches a
+//     corrupted memo-cache read (chaos site "cache-get").
 //
-// The audit's own full Report becomes the result's Report, so the numbers a
+// The audit's own Report becomes the result's Report, so the numbers a
 // caller sees are exactly the audited ones. Any failure — including a panic
-// inside the audit itself, contained by safeEval — rejects the attempt and
-// the retry loop moves on.
+// inside the audit itself, contained by safeReport — rejects the attempt
+// and the retry loop moves on.
 func (e *Engine) audit(w *tensor.Workload, a *arch.Arch, model cost.Model, m *mapping.Mapping) (cost.Report, error) {
 	if m == nil {
 		return cost.Report{}, errors.New("audit: no mapping produced")
@@ -323,20 +324,21 @@ func (e *Engine) audit(w *tensor.Workload, a *arch.Arch, model cost.Model, m *ma
 	if err := m.Validate(); err != nil {
 		return cost.Report{}, fmt.Errorf("audit: mapping fails validation: %w", err)
 	}
-	rep, err := safeEval(model, m)
-	if err != nil {
-		return cost.Report{}, fmt.Errorf("audit: full evaluation failed: %w", err)
-	}
-	if !rep.Valid {
-		return cost.Report{}, fmt.Errorf("audit: mapping evaluates invalid: %v", rep.Invalid)
-	}
 	sess := e.Session(model, w, a)
 	if sess == nil {
 		// The Engine declined (an injected compile fault, say); a fresh
 		// session has no chaos hook on construction and always works.
 		sess = model.NewSession(w, a)
 	}
-	edp, energyPJ, cycles, valid, err := evalFastContained(sess.NewEvaluator(), m)
+	ev := sess.NewEvaluator()
+	rep, err := safeReport(ev, m)
+	if err != nil {
+		return cost.Report{}, fmt.Errorf("audit: full evaluation failed: %w", err)
+	}
+	if !rep.Valid {
+		return cost.Report{}, fmt.Errorf("audit: mapping evaluates invalid: %v", rep.Invalid)
+	}
+	edp, energyPJ, cycles, valid, err := evalFastContained(ev, m)
 	if err != nil {
 		return cost.Report{}, fmt.Errorf("audit: fast-path evaluation failed: %w", err)
 	}

@@ -82,9 +82,10 @@ func TestResidencyBelowInnermostKeeper(t *testing.T) {
 	}
 }
 
-// TestResidencyFastSlowParity: under a residency model the zero-allocation
-// fast path still reproduces Evaluate bit-for-bit on randomized valid and
-// invalid mappings — the same contract the resilient-path audit relies on.
+// TestResidencyFastSlowParity: under a residency model Report and the
+// scalar paths still reproduce the reference bit for bit on randomized
+// valid and invalid mappings — the same contract the resilient-path audit
+// relies on.
 func TestResidencyFastSlowParity(t *testing.T) {
 	w := workloads.ResNet18[1].Inference(4)
 	for _, tc := range []struct {
@@ -101,6 +102,9 @@ func TestResidencyFastSlowParity(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
 			for i := 0; i < 150; i++ {
 				checkEquivalence(t, model, ev, randomMappingOn(w, tc.a, rng))
+			}
+			for i := 0; i < 50; i++ {
+				checkEquivalence(t, model, ev, validWalkOn(w, tc.a, rng))
 			}
 		})
 	}

@@ -1,12 +1,10 @@
-// Fast-path cost evaluation. A Session precomputes everything about a
-// (workload, arch) pair that Evaluate re-derives per call — tensor axis
-// structure, keeper chains, per-flow buffer energy coefficients, the
-// component and access-slot tables behind the Breakdown/Accesses maps — and
-// an Evaluator owns reusable scratch so scoring a mapping allocates nothing
-// in steady state. EvaluateEDP returns exactly the numbers Evaluate would
-// (bit-for-bit: the same arithmetic in the same order), minus the Report
-// maps the search never reads; the full Evaluate remains for final mappings
-// and the CLI.
+// Session and Evaluator: the cost model's implementation. A Session
+// precomputes everything about a (workload, arch) pair the model consults —
+// tensor axis structure, keeper chains, per-flow buffer energy coefficients,
+// the component and access-slot tables behind the Report's Breakdown and
+// Accesses maps — and an Evaluator owns reusable scratch, so scoring a
+// mapping's scalars allocates nothing in steady state. Report materializes
+// those tables into the full Report for final mappings and the CLI.
 //
 // On top of the scalar path sits a search-wide memoization cache keyed by a
 // canonical 128-bit fingerprint of the mapping (per level: the effective
@@ -14,9 +12,11 @@
 // factor). Hill-climb polish and the beam revisit the same completed
 // mappings heavily; a cache hit returns the memoized scalars without
 // touching the model.
+
 package cost
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -83,10 +83,12 @@ type tensorPlan struct {
 	flows    []flowPlan
 }
 
-// slotPlan resolves one "level/buffer/tensor" access key the way the legacy
-// cycles() does — by re-splitting the rendered string — so bandwidth
-// attribution is identical even for degenerate names.
+// slotPlan is one "level/buffer/tensor" access slot. Its bandwidth is found
+// by splitting the rendered key and looking the level and buffer back up by
+// name, so a degenerate name (one containing '/', or a duplicate level name)
+// degrades predictably instead of charging the wrong port.
 type slotPlan struct {
+	key             string
 	lvl             int // -1: unresolvable key, skipped by cycles
 	readBW, writeBW float64
 	resolved        bool
@@ -118,14 +120,19 @@ type Session struct {
 	noSR    []bool // per level: !AllowSpatialReduction
 	fanout  []int
 
-	macPJ    float64
-	levels   []levelCoef
-	compMAC  int
-	compNoC  int
-	compSR   int
-	nComps   int
-	sumOrder []int // component indices in sorted-name order (EnergyPJ sum)
-	slots    []slotPlan
+	macPJ     float64
+	levels    []levelCoef
+	compMAC   int
+	compNoC   int
+	compSR    int
+	compNames []string
+	// compListed marks the components every valid Report lists, even at
+	// zero energy: MAC, every buffer a flow touches, and NoC when some flow
+	// crosses a level with fanout > 1. SpatialReduce is listed only when an
+	// evaluation combines partials across a reduction width > 1.
+	compListed []bool
+	sumOrder   []int // component indices in sorted-name order (EnergyPJ sum)
+	slots      []slotPlan
 
 	// Admissible lower-bound tables (see LowerBound), built once by
 	// buildLowerBound from compulsory traffic and peak-throughput
@@ -203,15 +210,11 @@ func (mo Model) NewSession(w *tensor.Workload, a *arch.Arch) *Session {
 		if i, ok := slotIdx[key]; ok {
 			return i
 		}
-		// Resolve exactly like the legacy cycles(): split the rendered key
-		// and look the pieces back up; an ambiguous or unresolvable key
-		// (names containing '/', duplicate level names) degrades the same
-		// way it always did.
 		parts := strings.SplitN(key, "/", 3)
-		p := slotPlan{lvl: -1}
+		p := slotPlan{key: key, lvl: -1}
 		if li := levelIndexByName(a, parts[0]); li >= 0 {
 			if buf := a.Levels[li].BufferFor(parts[2]); buf != nil {
-				p = slotPlan{lvl: li, readBW: buf.ReadBW, writeBW: buf.WriteBW, resolved: true}
+				p = slotPlan{key: key, lvl: li, readBW: buf.ReadBW, writeBW: buf.WriteBW, resolved: true}
 			}
 		}
 		i := len(s.slots)
@@ -221,8 +224,8 @@ func (mo Model) NewSession(w *tensor.Workload, a *arch.Arch) *Session {
 	}
 
 	// Capacity checks: every bounded buffer below the top level, with the
-	// tensors it holds (Holds implies Keeps at that level, so the legacy
-	// heldHere conjunction reduces to Holds).
+	// tensors it holds (Holds implies Keeps at that level, so Validate's
+	// holds-and-keeps test reduces to Holds).
 	for lvl := 0; lvl < s.nLevels-1; lvl++ {
 		al := &a.Levels[lvl]
 		for bi := range al.Buffers {
@@ -240,8 +243,8 @@ func (mo Model) NewSession(w *tensor.Workload, a *arch.Arch) *Session {
 		}
 	}
 
-	// Per-tensor plans, in w.Tensors order (the Breakdown accumulation
-	// order Evaluate uses).
+	// Per-tensor plans, in w.Tensors order: the order every Breakdown
+	// component accumulates in, which fixes its floating-point bits.
 	nd := len(s.dims)
 	for _, t := range w.Tensors {
 		tp := tensorPlan{
@@ -266,9 +269,8 @@ func (mo Model) NewSession(w *tensor.Workload, a *arch.Arch) *Session {
 				keepers = append(keepers, l)
 			}
 		}
-		// Residency truncation mirrors Flows exactly; buildLowerBound walks
-		// these flow plans, so the lower bound inherits the truncation and
-		// stays admissible for the resident problem.
+		// Residency truncation; buildLowerBound walks these flow plans, so
+		// the lower bound inherits it.
 		keepers = mo.residentKeepers(t.Name, keepers)
 		mkFlow := func(child, parent int) flowPlan {
 			pbuf := a.Levels[parent].BufferFor(t.Name)
@@ -294,20 +296,33 @@ func (mo Model) NewSession(w *tensor.Workload, a *arch.Arch) *Session {
 		s.tensors = append(s.tensors, tp)
 	}
 
-	// EnergyPJ sums Breakdown entries in sorted component-name order; adding
-	// a component that Evaluate would have left absent contributes +0.0,
-	// which cannot change the bits of a sum of non-negative terms.
-	s.nComps = len(compNames)
-	s.sumOrder = make([]int, s.nComps)
+	s.compNames = compNames
+	s.compListed = make([]bool, len(compNames))
+	s.compListed[s.compMAC] = true
+	for ti := range s.tensors {
+		for _, fl := range s.tensors[ti].flows {
+			s.compListed[fl.pComp] = true
+			if fl.cComp >= 0 {
+				s.compListed[fl.cComp] = true
+			}
+			for l := fl.child + 1; l <= fl.parent; l++ {
+				if s.fanout[l] > 1 {
+					s.compListed[s.compNoC] = true
+				}
+			}
+		}
+	}
+
+	// EnergyPJ sums every component in sorted-name order; a component the
+	// Report does not list contributes +0.0, which cannot change the bits
+	// of a sum of non-negative terms.
+	s.sumOrder = make([]int, len(compNames))
 	order := append([]string(nil), compNames...)
 	insertionSortStrings(order)
 	for i, name := range order {
 		s.sumOrder[i] = compIdx[name]
 	}
 
-	for i := range s.shards {
-		s.shards[i].m = make(map[Key]cacheEntry)
-	}
 	s.buildLowerBound()
 	return s
 }
@@ -319,9 +334,10 @@ func (mo Model) NewSession(w *tensor.Workload, a *arch.Arch) *Session {
 // rounding and is far below anything the search could act on.
 const lbSlack = 1 - 1e-9
 
-// buildLowerBound precomputes the admissible cost floor consulted by
-// LowerBound. Every term is a provable under-approximation of what compute()
-// charges for ANY valid mapping of the problem:
+// buildLowerBound precomputes the cost floor consulted by LowerBound. Each
+// term is argued below to under-approximate what compute() charges for any
+// valid mapping of the problem (the cycle floor's argument fails on strided
+// 1x1 convs; see LowerBound):
 //
 //   - MAC energy: compute() charges PaddedMACs × macPJ; the unpadded product
 //     of problem bounds (macsU) never exceeds PaddedMACs.
@@ -471,12 +487,15 @@ func (s *Session) buildLowerBound() {
 	s.lbXferCycles = worst * lbSlack
 }
 
-// LowerBound returns an admissible floor on (EnergyPJ, Cycles) for any valid
-// completion of a mapping whose total spatial parallelism cannot exceed
-// maxSpatial: no valid mapping of the Session's problem — however it tiles,
-// orders, or unrolls — evaluates below these numbers in either component.
+// LowerBound returns a floor on (EnergyPJ, Cycles) for any valid completion
+// of a mapping whose total spatial parallelism cannot exceed maxSpatial.
 // Pass maxSpatial <= 0 (or anything above the fanout product) for the
-// problem-wide bound.
+// problem-wide bound. It is meant to be admissible, and the property tests
+// find no valid mapping below it on their fixtures, but it is not
+// everywhere: on strided 1x1 convs (ResNet-18 conv3_ds/conv4_ds/conv5_ds
+// at batch 16) the cycle floor is too high and valid mappings evaluate to
+// 0.44-0.94x of the bound's EDP. perfbench reports these cases as
+// analytic.bound_violations.
 func (s *Session) LowerBound(maxSpatial float64) (energyPJ, cycles float64) {
 	if maxSpatial <= 0 || maxSpatial > s.lbMaxSpatial {
 		maxSpatial = s.lbMaxSpatial
@@ -536,25 +555,12 @@ func (e *Evaluator) lookup(k Key) (cacheEntry, bool) {
 func (s *Session) store(k Key, e cacheEntry) {
 	sh := &s.shards[k.Hi%cacheShards]
 	sh.mu.Lock()
+	if sh.m == nil { // shards fill lazily: a one-shot Session never stores
+		sh.m = make(map[Key]cacheEntry)
+	}
 	sh.m[k] = e
 	sh.mu.Unlock()
 }
-
-// EvaluateEDP is a convenience that builds a throwaway Session; hot callers
-// (searches) should hold one Session per (workload, arch) and one Evaluator
-// per worker instead.
-func (mo Model) EvaluateEDP(m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool) {
-	return mo.NewSession(m.Workload, m.Arch).NewEvaluator().EvaluateEDP(m)
-}
-
-// snapshot outcome classification.
-type snapResult int
-
-const (
-	snapOK    snapResult = iota
-	snapBad              // a raw factor < 1: Validate fails, but the T/S view cannot see it — uncacheable
-	snapStray            // a spatial factor > 1 on a non-workload dimension: fall back to Evaluate
-)
 
 // Evaluator owns the mutable scratch for scoring mappings against one
 // Session. It is NOT safe for concurrent use; create one per worker
@@ -577,13 +583,15 @@ type Evaluator struct {
 	seen  []bool
 
 	// Evaluation scratch.
-	cum   []int // nLevels x nDims cumulative extents (Extents at each level)
-	ext   []int // per-flow working extents
-	loopD []int32
-	loopB []int
-	bd    []float64
-	acc   []Access
-	inst  []float64
+	cum    []int // nLevels x nDims cumulative extents (Extents at each level)
+	ext    []int // per-flow working extents
+	loopD  []int32
+	loopB  []int
+	bd     []float64
+	acc    []Access
+	inst   []float64
+	macs   int64 // padded MAC count of the last valid compute
+	srUsed bool  // the last compute combined partials across a width > 1
 }
 
 // NewEvaluator returns a fresh Evaluator with all scratch preallocated.
@@ -603,7 +611,7 @@ func (s *Session) NewEvaluator() *Evaluator {
 		ext:   make([]int, nd),
 		loopD: make([]int32, nl*nd),
 		loopB: make([]int, nl*nd),
-		bd:    make([]float64, s.nComps),
+		bd:    make([]float64, len(s.compNames)),
 		acc:   make([]Access, len(s.slots)),
 		inst:  make([]float64, nl),
 	}
@@ -618,11 +626,55 @@ func (e *Evaluator) CountCacheInto(hits, misses *obs.Counter) {
 	e.hits, e.misses = hits, misses
 }
 
-// EvaluateEDP scores m on the zero-allocation fast path, returning exactly
-// the EDP/EnergyPJ/Cycles/Valid that Model.Evaluate would report. Results
-// are memoized in the Session's search-wide cache under the mapping's
-// canonical Key; the Probe (fault injection) still fires on every call,
-// before the cache is consulted.
+// Report validates and scores m, returning the full Report: the scalars,
+// the per-component energy Breakdown, the per-slot Accesses, and the MAC
+// count. Legality and the Invalid error come from m.Validate; invalid
+// mappings get +Inf scalars and empty maps. The Probe and the evaluation
+// fault hook fire once. Report bypasses the memo cache, so it is the
+// uncached cross-check for EvaluateEDP's memoized scalars.
+func (e *Evaluator) Report(m *mapping.Mapping) Report {
+	s := e.s
+	if s.model.Probe != nil {
+		s.model.Probe.BeforeEvaluate(m)
+	}
+	// Chaos hook: an injected evaluation fault panics, contained by the
+	// caller's per-candidate isolation like any poisoned cost model.
+	faults.MustFire(faults.SiteEvaluate)
+	r := Report{
+		Breakdown: map[string]float64{},
+		Accesses:  map[string]Access{},
+		EDP:       inf,
+		EnergyPJ:  inf,
+		Cycles:    inf,
+	}
+	if r.Invalid = m.Validate(); r.Invalid != nil {
+		return r
+	}
+	edp, energyPJ, cycles, valid := inf, inf, inf, false
+	if e.snapshot(m) {
+		edp, energyPJ, cycles, valid = e.compute()
+	}
+	if !valid {
+		r.Invalid = errors.New("cost: the model rejects a mapping Validate accepts")
+		return r
+	}
+	r.Valid, r.EDP, r.EnergyPJ, r.Cycles, r.MACs = true, edp, energyPJ, cycles, e.macs
+	for ci, name := range s.compNames {
+		if s.compListed[ci] || (ci == s.compSR && e.srUsed) {
+			r.Breakdown[name] = e.bd[ci]
+		}
+	}
+	for si := range s.slots {
+		r.Accesses[s.slots[si].key] = e.acc[si]
+	}
+	return r
+}
+
+// EvaluateEDP scores m on the zero-allocation scalar path, returning exactly
+// the EDP/EnergyPJ/Cycles/Valid that Report would. Results are memoized in
+// the Session's search-wide cache under the mapping's canonical Key; the
+// Probe (fault injection) still fires on every call, before the cache is
+// consulted.
 func (e *Evaluator) EvaluateEDP(m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool) {
 	s := e.s
 	if s.model.Probe != nil {
@@ -631,11 +683,8 @@ func (e *Evaluator) EvaluateEDP(m *mapping.Mapping) (edp, energyPJ, cycles float
 	// Chaos hook: an injected evaluation fault panics, contained by the
 	// caller's per-candidate isolation like any poisoned cost model.
 	faults.MustFire(faults.SiteEvaluate)
-	switch e.snapshot(m) {
-	case snapBad:
+	if !e.snapshot(m) {
 		return inf, inf, inf, false
-	case snapStray:
-		return e.fallback(m)
 	}
 	k := e.key()
 	if v, ok := e.lookup(k); ok {
@@ -660,59 +709,47 @@ func (e *Evaluator) EvaluateEDPUncached(m *mapping.Mapping) (edp, energyPJ, cycl
 	if s.model.Probe != nil {
 		s.model.Probe.BeforeEvaluate(m)
 	}
-	switch e.snapshot(m) {
-	case snapBad:
+	if !e.snapshot(m) {
 		return inf, inf, inf, false
-	case snapStray:
-		return e.fallback(m)
 	}
 	return e.compute()
 }
 
 // Key returns the mapping's canonical fingerprint, or ok=false when the
-// mapping is outside the fast path's domain (raw factors < 1, which the
-// T/S view cannot represent, or stray spatial dimensions). No Probe fires:
-// computing a key is not an evaluation.
+// snapshot already proves the mapping invalid (a raw factor < 1, or a
+// spatial factor > 1 on a dimension the workload does not declare). No
+// Probe fires: computing a key is not an evaluation.
 func (e *Evaluator) Key(m *mapping.Mapping) (k Key, ok bool) {
-	if e.snapshot(m) != snapOK {
+	if !e.snapshot(m) {
 		return Key{}, false
 	}
 	return e.key(), true
 }
 
-// fallback scores a mapping the snapshot cannot represent (spatial factors
-// on dimensions outside the workload — legal in the map representation and
-// visible to the model) on the full Evaluate path. The Probe already fired.
-func (e *Evaluator) fallback(m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool) {
-	mo := e.s.model
-	mo.Probe = nil
-	rep := mo.Evaluate(m)
-	return rep.EDP, rep.EnergyPJ, rep.Cycles, rep.Valid
-}
-
 // snapshot captures m's T/S bounds, per-level spatial entries, and the
 // effective order of its bound>1 temporal loops into the evaluator scratch.
-func (e *Evaluator) snapshot(m *mapping.Mapping) snapResult {
+// It returns false, leaving the scratch partial, when the raw maps hold
+// what Validate rejects but the T/S view cannot represent: a factor < 1,
+// or a spatial factor > 1 on an undeclared dimension. Such a mapping is
+// invalid and never cached.
+func (e *Evaluator) snapshot(m *mapping.Mapping) bool {
 	s := e.s
 	nd := len(s.dims)
 	sp := 0
 	for l := 0; l < s.nLevels; l++ {
 		lm := &m.Levels[l]
-		// Raw-map scan: Validate rejects any factor < 1 even on dimensions
-		// the accessors normalize away, and spatial factors > 1 on stray
-		// dimensions do reach the model (SpatialProduct, multicast widths).
 		for _, n := range lm.Temporal {
 			if n < 1 {
-				return snapBad
+				return false
 			}
 		}
 		for d, n := range lm.Spatial {
 			if n < 1 {
-				return snapBad
+				return false
 			}
 			if n > 1 {
 				if _, known := s.dimIdx[d]; !known {
-					return snapStray
+					return false
 				}
 			}
 		}
@@ -731,7 +768,7 @@ func (e *Evaluator) snapshot(m *mapping.Mapping) snapResult {
 		}
 		// Effective order restricted to bound>1 loops: declared order first
 		// (deduped, declared dims only), then the canonical remainder —
-		// bound-1 loops are invisible to passCount, so dropping them here
+		// bound-1 loops never break reuse, so dropping them here
 		// canonicalizes equal-cost orderings onto one Key.
 		cnt := 0
 		for _, d := range lm.Order {
@@ -757,7 +794,7 @@ func (e *Evaluator) snapshot(m *mapping.Mapping) snapResult {
 		}
 	}
 	e.spOff[s.nLevels] = sp
-	return snapOK
+	return true
 }
 
 // mix64 is the splitmix64 finalizer — a full-avalanche 64-bit mixer.
@@ -792,9 +829,9 @@ func (e *Evaluator) key() Key {
 	return Key{Hi: h1, Lo: h2}
 }
 
-// compute runs the cost model over the snapshot — the same arithmetic as
-// Evaluate, in the same order, against precomputed tables. It allocates
-// nothing.
+// compute runs the cost model over the snapshot against the precomputed
+// tables, leaving the per-component energy in e.bd and the per-slot access
+// counts in e.acc. It allocates nothing.
 func (e *Evaluator) compute() (edp, energyPJ, cycles float64, valid bool) {
 	s := e.s
 	nd := len(s.dims)
@@ -813,7 +850,7 @@ func (e *Evaluator) compute() (edp, energyPJ, cycles float64, valid bool) {
 	}
 
 	// Validity, in Validate's order of checks (the boolean outcome is all
-	// that matters; Evaluate maps invalid to +Inf scalars).
+	// that matters; invalid maps to +Inf scalars).
 	topBase := top * nd
 	for i := 0; i < nd; i++ {
 		if e.cum[topBase+i] < s.bounds[i] {
@@ -860,6 +897,7 @@ func (e *Evaluator) compute() (edp, energyPJ, cycles float64, valid bool) {
 	for i := range e.acc {
 		e.acc[i] = Access{}
 	}
+	e.macs, e.srUsed = macs, false
 	e.bd[s.compMAC] += float64(macs) * s.macPJ
 
 	for ti := range s.tensors {
@@ -867,9 +905,9 @@ func (e *Evaluator) compute() (edp, energyPJ, cycles float64, valid bool) {
 		for fi := range tp.flows {
 			fl := &tp.flows[fi]
 			if fl.child < 0 {
-				e.computeFlow(tp, fl, macs)
+				e.datapath(tp, fl, macs)
 			} else {
-				e.pairFlow(tp, fl)
+				e.keeperPair(tp, fl)
 			}
 		}
 	}
@@ -883,7 +921,7 @@ func (e *Evaluator) compute() (edp, energyPJ, cycles float64, valid bool) {
 	return edp, energyPJ, cycles, true
 }
 
-// footprint mirrors Tensor.Footprint over the extents stored at e.cum[base:].
+// footprint is Tensor.Footprint over the extents stored at e.cum[base:].
 func (e *Evaluator) footprint(tp *tensorPlan, base int) int {
 	fp := 1
 	for ai := range tp.axes {
@@ -930,9 +968,11 @@ func (e *Evaluator) mergeWidth(tp *tensorPlan, lo, hi int) int64 {
 	return w
 }
 
-// computeFlow mirrors Model.computeFlow: the MAC datapath consuming tp from
-// its innermost keeper.
-func (e *Evaluator) computeFlow(tp *tensorPlan, fl *flowPlan, macs int64) {
+// datapath charges the MAC datapath's traffic with tp's innermost keeper:
+// one word per MAC, merged by the multicast (inputs) or spatial-reduction
+// (outputs) width at or below the keeper. Outputs pay a read-modify-write
+// per update.
+func (e *Evaluator) datapath(tp *tensorPlan, fl *flowPlan, macs int64) {
 	merge := e.mergeWidth(tp, 0, fl.parent)
 	var pr, pw, psum int64
 	if tp.output {
@@ -944,10 +984,12 @@ func (e *Evaluator) computeFlow(tp *tensorPlan, fl *flowPlan, macs int64) {
 	e.account(tp, fl, pr, pw, psum, 0, 0)
 }
 
-// pairFlow mirrors Model.pairFlow for keeper pair (child, parent): tile
-// refill passes over the loops above the child, sliding-window overlap for
-// inputs, partial-sum writeback for outputs.
-func (e *Evaluator) pairFlow(tp *tensorPlan, fl *flowPlan) {
+// keeperPair charges the traffic between keeper pair (child, parent): the
+// child tile is refilled once per pass over the temporal loops above it,
+// skipping the innermost run of loops over dims that do not index tp
+// (Ordering Principles 1-2); inputs fetch only the new window on a
+// sliding-window step, and outputs pay partial-sum writeback and readback.
+func (e *Evaluator) keeperPair(tp *tensorPlan, fl *flowPlan) {
 	s := e.s
 	nd := len(s.dims)
 	top := s.nLevels - 1
@@ -955,7 +997,7 @@ func (e *Evaluator) pairFlow(tp *tensorPlan, fl *flowPlan) {
 
 	// Working extents: the child tile enlarged by every spatial unroll above
 	// it (replication by non-indexing unrolls above the parent is folded
-	// into fp, not the extents — exactly as in pairFlow).
+	// into fp, not the extents).
 	copy(e.ext, e.cum[c*nd:c*nd+nd])
 	for k := e.spOff[c+1]; k < e.spOff[top+1]; k++ {
 		e.ext[e.spIdx[k]] *= int(e.spS[k])
@@ -1013,8 +1055,10 @@ func (e *Evaluator) pairFlow(tp *tensorPlan, fl *flowPlan) {
 	e.account(tp, fl, reads, 0, 0, fills, 0)
 }
 
-// incFootprint mirrors incrementalFootprint over the working extents: the
-// new data fetched when the tile advances one step along window dim d.
+// incFootprint is the footprint of the new data fetched when the tile
+// advances one step along window dim d: each compound axis containing d
+// contributes the step stride_d * ext[d] (capped at the axis extent)
+// instead of its full extent.
 func (e *Evaluator) incFootprint(tp *tensorPlan, d int) int64 {
 	fp := int64(1)
 	for ai := range tp.axes {
@@ -1046,8 +1090,10 @@ func (e *Evaluator) incFootprint(tp *tensorPlan, d int) int64 {
 	return fp
 }
 
-// account mirrors Model.account: buffer energy, access-slot counts, and NoC
-// distribution/collection energy for one flow.
+// account charges one flow's buffer energy and access-slot counts, plus
+// the NoC energy of distributing input words down (multicast at each
+// fanout level) or collecting output partials up (combined at each level
+// that reduces across a width > 1).
 func (e *Evaluator) account(tp *tensorPlan, fl *flowPlan, pr, pw, psum, fills, drains int64) {
 	s := e.s
 	e.acc[fl.pSlot].Reads += pr + psum
@@ -1078,6 +1124,7 @@ func (e *Evaluator) account(tp *tensorPlan, fl *flowPlan, pr, pw, psum, fills, d
 			}
 			rho := e.levelWidth(tp, l)
 			if rho > 1 {
+				e.srUsed = true
 				e.bd[s.compSR] += volBelow * s.levels[l].spatialReducePJ
 				volBelow /= float64(rho)
 			}
@@ -1096,8 +1143,8 @@ func (e *Evaluator) account(tp *tensorPlan, fl *flowPlan, pr, pw, psum, fills, d
 	}
 }
 
-// levelWidth mirrors the legacy levelWidth: level l's non-indexing spatial
-// product for tp.
+// levelWidth is level l's own multicast (or reduction) width for tp: its
+// spatial product over dims that do not index tp.
 func (e *Evaluator) levelWidth(tp *tensorPlan, l int) int64 {
 	w := int64(1)
 	for k := e.spOff[l]; k < e.spOff[l+1]; k++ {
@@ -1108,7 +1155,9 @@ func (e *Evaluator) levelWidth(tp *tensorPlan, l int) int64 {
 	return w
 }
 
-// cycles mirrors Model.cycles over the accumulated access slots.
+// cycles is the double-buffered latency: the maximum of compute time and
+// any slot's transfer time (reads and writes serialized per port, the
+// active instances above the slot's level dividing the traffic).
 func (e *Evaluator) cycles(macs int64) float64 {
 	s := e.s
 	spatialUsed := 1

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -18,8 +19,8 @@ import (
 // (sometimes partial) loop orders, and an occasional dropped factor. The
 // samples deliberately include invalid mappings — capacity and fanout
 // overflows, uncovered dimensions, reduction dims unrolled across
-// non-reducing levels — because the fast path must agree with Evaluate on
-// those too.
+// non-reducing levels — because production must agree with the reference
+// on those too.
 func randomMappingOn(w *tensor.Workload, a *arch.Arch, rng *rand.Rand) *mapping.Mapping {
 	m := mapping.New(w, a)
 	type slot struct {
@@ -57,25 +58,97 @@ func randomMappingOn(w *tensor.Workload, a *arch.Arch, rng *rand.Rand) *mapping.
 	return m
 }
 
-// requireSameScalars asserts bit-for-bit agreement between a full Evaluate
-// report and one fast-path result.
+// validWalkOn samples a valid mapping of w onto a by a random walk from the
+// everything-at-the-top mapping: each step moves one prime factor of a
+// top-level bound into a random lower temporal or spatial slot and keeps the
+// move only if the mapping stays valid. Unlike randomMappingOn it reliably
+// reaches valid tiled and unrolled mappings on the large presets.
+func validWalkOn(w *tensor.Workload, a *arch.Arch, rng *rand.Rand) *mapping.Mapping {
+	m := dramMapping(w, a)
+	top := len(a.Levels) - 1
+	for step := 0; step < 40; step++ {
+		d := w.Order[rng.Intn(len(w.Order))]
+		ps := factor.Primes(m.Levels[top].T(d))
+		if len(ps) == 0 {
+			continue
+		}
+		p := ps[rng.Intn(len(ps))]
+		l := rng.Intn(len(a.Levels))
+		spatial := a.Levels[l].Fanout > 1 && rng.Intn(2) == 0
+		if l == top && !spatial {
+			continue
+		}
+		trial := m.Clone()
+		trial.Levels[top].Temporal[d] = m.Levels[top].T(d) / p
+		if spatial {
+			trial.Levels[l].Spatial[d] = trial.Levels[l].S(d) * p
+		} else {
+			trial.Levels[l].Temporal[d] = trial.Levels[l].T(d) * p
+		}
+		if trial.Validate() == nil {
+			m = trial
+		}
+	}
+	for l := range m.Levels {
+		order := append([]tensor.Dim(nil), w.Order...)
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		m.Levels[l].Order = order
+	}
+	return m
+}
+
+// requireSameScalars asserts bit-for-bit agreement between a reference
+// report and one scalar-path result.
 func requireSameScalars(t *testing.T, label string, rep Report, edp, en, cy float64, valid bool) {
 	t.Helper()
 	if valid != rep.Valid ||
 		math.Float64bits(edp) != math.Float64bits(rep.EDP) ||
 		math.Float64bits(en) != math.Float64bits(rep.EnergyPJ) ||
 		math.Float64bits(cy) != math.Float64bits(rep.Cycles) {
-		t.Fatalf("%s: fast path (edp=%v en=%v cy=%v valid=%v) != Evaluate (edp=%v en=%v cy=%v valid=%v)",
+		t.Fatalf("%s: (edp=%v en=%v cy=%v valid=%v) != reference (edp=%v en=%v cy=%v valid=%v)",
 			label, edp, en, cy, valid, rep.EDP, rep.EnergyPJ, rep.Cycles, rep.Valid)
 	}
 }
 
-// checkEquivalence runs one mapping through Evaluate, the memoized fast path
-// (twice: miss then hit), and the uncached fast path, requiring identical
-// scalars from all of them.
+// requireSameReport asserts that a production Report equals the reference
+// field by field: bit-identical scalars and Breakdown entries, identical
+// Breakdown and Accesses key sets and values, MACs, validity and the
+// Invalid text.
+func requireSameReport(t *testing.T, got, want Report) {
+	t.Helper()
+	requireSameScalars(t, "Report", want, got.EDP, got.EnergyPJ, got.Cycles, got.Valid)
+	if got.MACs != want.MACs {
+		t.Fatalf("Report MACs %d != reference %d", got.MACs, want.MACs)
+	}
+	if fmt.Sprint(got.Invalid) != fmt.Sprint(want.Invalid) {
+		t.Fatalf("Report Invalid %q != reference %q", got.Invalid, want.Invalid)
+	}
+	if len(got.Breakdown) != len(want.Breakdown) {
+		t.Fatalf("Report Breakdown %v != reference %v", got.Breakdown, want.Breakdown)
+	}
+	for k, v := range want.Breakdown {
+		g, ok := got.Breakdown[k]
+		if !ok || math.Float64bits(g) != math.Float64bits(v) {
+			t.Fatalf("Report Breakdown[%q] = %v (present %v), reference %v", k, g, ok, v)
+		}
+	}
+	if len(got.Accesses) != len(want.Accesses) {
+		t.Fatalf("Report Accesses %v != reference %v", got.Accesses, want.Accesses)
+	}
+	for k, v := range want.Accesses {
+		if g, ok := got.Accesses[k]; !ok || g != v {
+			t.Fatalf("Report Accesses[%q] = %+v (present %v), reference %+v", k, g, ok, v)
+		}
+	}
+}
+
+// checkEquivalence runs one mapping through the reference model, Report,
+// the memoized scalar path (twice: miss then hit), and the uncached scalar
+// path, requiring the reference's numbers from all of them.
 func checkEquivalence(t *testing.T, model Model, ev *Evaluator, m *mapping.Mapping) {
 	t.Helper()
-	rep := model.Evaluate(m)
+	rep := model.referenceEvaluate(m)
+	requireSameReport(t, ev.Report(m), rep)
 	for pass := 0; pass < 2; pass++ {
 		edp, en, cy, valid := ev.EvaluateEDP(m)
 		requireSameScalars(t, "EvaluateEDP", rep, edp, en, cy, valid)
@@ -107,13 +180,15 @@ func equivalenceCases() []struct {
 		{"conv2d/simba", conv2d, arch.Simba()},
 		{"conv2d/diannao", conv2d, arch.DianNao()},
 		{"mttkrp/conventional", workloads.MTTKRPOn(workloads.Nell2), arch.Conventional()},
+		{"conv1d/tiny", conv1d, arch.Tiny(256)}, // no fanout: no NoC component
 	}
 }
 
-// TestEvaluateEDPEquivalenceProperty: the fast path reproduces Evaluate
-// bit-for-bit — EDP, EnergyPJ, Cycles, and validity — on randomized valid
-// AND invalid mappings across the Conventional, Simba, and DianNao presets
-// (plus the tiny fixture the other property tests use).
+// TestEvaluateEDPEquivalenceProperty pins production to the reference
+// model: Report field by field, and the memoized and uncached scalars bit
+// for bit, on randomized valid AND invalid mappings across the
+// Conventional, Simba, and DianNao presets, plus the tiny fixtures the other
+// property tests use (one with a fanout level, one without).
 func TestEvaluateEDPEquivalenceProperty(t *testing.T) {
 	const samples = 120
 	for _, tc := range equivalenceCases() {
@@ -133,27 +208,39 @@ func TestEvaluateEDPEquivalenceProperty(t *testing.T) {
 			if invalid == 0 {
 				t.Error("sampler produced no invalid mappings; the invalid branch went untested")
 			}
+			for i := 0; i < samples/2; i++ {
+				m := validWalkOn(tc.w, tc.a, rng)
+				if m.Validate() != nil {
+					t.Fatalf("random walk left the valid set: %v", m.Validate())
+				}
+				valid++
+				checkEquivalence(t, Default, ev, m)
+			}
 			t.Logf("%d valid, %d invalid samples", valid, invalid)
 		})
 	}
 }
 
 // TestEvaluateEDPSlidingReuseOff: equivalence holds for non-default model
-// configurations too.
+// configurations too, on every case.
 func TestEvaluateEDPSlidingReuseOff(t *testing.T) {
 	model := Model{SlidingReuse: false}
-	tc := equivalenceCases()[0]
-	ev := model.NewSession(tc.w, tc.a).NewEvaluator()
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 60; i++ {
-		checkEquivalence(t, model, ev, randomMappingOn(tc.w, tc.a, rng))
+	for _, tc := range equivalenceCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			ev := model.NewSession(tc.w, tc.a).NewEvaluator()
+			rng := rand.New(rand.NewSource(11))
+			for i := 0; i < 60; i++ {
+				checkEquivalence(t, model, ev, randomMappingOn(tc.w, tc.a, rng))
+				checkEquivalence(t, model, ev, validWalkOn(tc.w, tc.a, rng))
+			}
+		})
 	}
 }
 
-// TestEvaluateEDPEdgeCases pins the fast path's off-domain handling: raw
-// factors < 1 (invalid but invisible to the T/S accessors, so uncacheable),
-// stray-dimension spatial factors (fall back to the full model), stray
-// temporal factors and explicit 1-entries (cost-invisible).
+// TestEvaluateEDPEdgeCases pins the off-domain handling: raw factors < 1
+// and spatial factors on undeclared dimensions are invalid on every path
+// and uncacheable (Key refuses them); undeclared temporal factors and
+// explicit 1-entries are cost-invisible.
 func TestEvaluateEDPEdgeCases(t *testing.T) {
 	tc := equivalenceCases()[0]
 	ev := Default.NewSession(tc.w, tc.a).NewEvaluator()
@@ -166,24 +253,31 @@ func TestEvaluateEDPEdgeCases(t *testing.T) {
 			}
 		}
 	}
+	invalid := func(label string, m *mapping.Mapping) {
+		t.Helper()
+		checkEquivalence(t, Default, ev, m)
+		if ev.Report(m).Valid {
+			t.Errorf("%s: Report accepted the mapping", label)
+		}
+		if _, _, _, valid := ev.EvaluateEDP(m); valid {
+			t.Errorf("%s: EvaluateEDP accepted the mapping", label)
+		}
+		if _, ok := ev.Key(m); ok {
+			t.Errorf("%s: Key accepted the mapping", label)
+		}
+	}
 
 	zero := base()
 	zero.Levels[0].Temporal["K"] = 0
-	checkEquivalence(t, Default, ev, zero)
-	if _, ok := ev.Key(zero); ok {
-		t.Error("Key accepted a mapping with a raw zero factor")
-	}
+	invalid("raw zero factor", zero)
 
 	neg := base()
 	neg.Levels[1].Spatial["C"] = -2
-	checkEquivalence(t, Default, ev, neg)
+	invalid("negative spatial factor", neg)
 
 	stray := base()
-	stray.Levels[1].Spatial["Z"] = 2 // undeclared dim: reaches SpatialProduct and multicast widths
-	checkEquivalence(t, Default, ev, stray)
-	if _, ok := ev.Key(stray); ok {
-		t.Error("Key accepted a mapping with a stray spatial factor")
-	}
+	stray.Levels[1].Spatial["Z"] = 2 // undeclared dim: would spend fanout on a loop that does not exist
+	invalid("stray spatial factor", stray)
 
 	strayT := base()
 	strayT.Levels[2].Temporal["Z"] = 5 // undeclared temporal dim: cost-invisible
@@ -262,7 +356,7 @@ func TestEvaluateEDPZeroAlloc(t *testing.T) {
 // TestEvaluatorConcurrentScratchReuse exercises per-worker scratch reuse and
 // the shared memoization cache under concurrency (run with -race): workers
 // with private Evaluators score an overlapping candidate stream against a
-// single Session, and every result must match the serial full model.
+// single Session, and every result must match the serial reference model.
 func TestEvaluatorConcurrentScratchReuse(t *testing.T) {
 	tc := equivalenceCases()[2] // conv2d on Simba: multi-spatial-level
 	sess := Default.NewSession(tc.w, tc.a)
@@ -272,7 +366,7 @@ func TestEvaluatorConcurrentScratchReuse(t *testing.T) {
 	want := make([]Report, n)
 	for i := range ms {
 		ms[i] = randomMappingOn(tc.w, tc.a, rng)
-		want[i] = Default.Evaluate(ms[i])
+		want[i] = Default.referenceEvaluate(ms[i])
 	}
 	const workers = 8
 	var wg sync.WaitGroup
@@ -293,7 +387,7 @@ func TestEvaluatorConcurrentScratchReuse(t *testing.T) {
 					math.Float64bits(en) != math.Float64bits(rep.EnergyPJ) ||
 					math.Float64bits(cy) != math.Float64bits(rep.Cycles) {
 					select {
-					case errs <- "concurrent fast-path result diverged from Evaluate":
+					case errs <- "concurrent scalar result diverged from the reference":
 					default:
 					}
 					return

@@ -37,9 +37,9 @@ const (
 	// error and panic kinds surface as a panicking expansion (expansion has
 	// no error channel).
 	SiteExpand Site = "expand"
-	// SiteEvaluate fires at the start of every cost evaluation, fast path
-	// and full model alike; error and panic kinds panic (contained by the
-	// search's per-candidate isolation).
+	// SiteEvaluate fires at the start of every cost evaluation
+	// (cost.Evaluator's Report and EvaluateEDP); error and panic kinds
+	// panic (contained by the search's per-candidate isolation).
 	SiteEvaluate Site = "evaluate"
 	// SiteCacheGet fires on evaluation-memo cache hits. Corrupt-kind
 	// faults perturb the returned scalars (simulating memo corruption the

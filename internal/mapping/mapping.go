@@ -173,7 +173,11 @@ func (m *Mapping) FootprintBits(t *tensor.Tensor, lvl int) int64 {
 //     dMazeRunner);
 //  3. fanout: the spatial factor product at each level fits its fanout;
 //  4. spatial reduction: reduction dimensions are unrolled only across
-//     levels that support combining partial sums.
+//     levels that support combining partial sums;
+//  5. factors: every factor is positive, and no spatial factor > 1 sits on
+//     a dimension the workload does not declare (it would spend fanout on a
+//     loop that does not exist). A temporal factor on an undeclared
+//     dimension changes no extent the model reads, so it stays legal.
 func (m *Mapping) Validate() error {
 	for _, d := range m.Workload.Order {
 		if m.Coverage(d) < m.Workload.Dims[d] {
@@ -221,6 +225,10 @@ func (m *Mapping) Validate() error {
 		for d, n := range lm.Spatial {
 			if n < 1 {
 				return fmt.Errorf("level %s: non-positive spatial factor %d for %s", al.Name, n, d)
+			}
+			if _, declared := m.Workload.Dims[d]; n > 1 && !declared {
+				return fmt.Errorf("level %s: spatial factor %d for %s, which workload %q does not declare",
+					al.Name, n, d, m.Workload.Name)
 			}
 		}
 	}

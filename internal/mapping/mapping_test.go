@@ -131,6 +131,41 @@ func TestValidateNonPositiveFactors(t *testing.T) {
 	}
 }
 
+// TestValidateUndeclaredDims: a spatial factor > 1 on a dimension the
+// workload does not declare spends fanout on a loop that does not exist and
+// is rejected; temporal and factor-1 spatial entries there change no extent
+// and stay legal.
+func TestValidateUndeclaredDims(t *testing.T) {
+	w := conv1D(t, 8, 8, 16, 3)
+	a := arch.TinySpatial(4096, 1<<16, 4)
+	valid := func() *Mapping {
+		m := New(w, a)
+		for _, d := range w.Order {
+			m.Levels[2].Temporal[d] = w.Dims[d]
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name    string
+		edit    func(m *Mapping)
+		wantErr string
+	}{
+		{"stray spatial", func(m *Mapping) { m.Levels[1].Spatial["Z"] = 2 }, "does not declare"},
+		{"stray spatial 1", func(m *Mapping) { m.Levels[1].Spatial["Z"] = 1 }, ""},
+		{"stray temporal", func(m *Mapping) { m.Levels[0].Temporal["Z"] = 5 }, ""},
+	} {
+		m := valid()
+		tc.edit(m)
+		err := m.Validate()
+		if tc.wantErr == "" && err != nil {
+			t.Errorf("%s: want valid, got %v", tc.name, err)
+		}
+		if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.wantErr, err)
+		}
+	}
+}
+
 func TestEffectiveOrder(t *testing.T) {
 	m := paperMapping(t, 4096)
 	order := m.EffectiveOrder(1)

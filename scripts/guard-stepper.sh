@@ -1,6 +1,6 @@
 #!/bin/sh
-# guard-stepper.sh — keep the level search and the public entry points
-# unified.
+# guard-stepper.sh — keep the level search, the public entry points and
+# the cost model unified.
 #
 # 1. The former bottomUp/topDown drivers are merged into one
 #    direction-agnostic level sequencer (internal/core/stepper.go). The
@@ -16,6 +16,13 @@
 #    ScheduleNetworkContext/IR/Fused variants and their helpers, the root
 #    SolveContext — or if anything declares NewServer (sunstoned builds its
 #    server with internal/server.New directly).
+# 3. There is one cost model: cost.Session and its Evaluator. The
+#    map-walking transcription of the same equations lives only in
+#    internal/cost's _test.go files, as the reference the tests pin
+#    production to. The guard fails if a non-test Go file under
+#    internal/cost declares Flows, pairFlow, computeFlow, passCount or
+#    loopsBetween again, so a second production model cannot come back
+#    unnoticed.
 #
 # Run from anywhere: ./scripts/guard-stepper.sh
 set -eu
@@ -49,5 +56,16 @@ if grep -nE --include='*.go' "$decl($removed)\(" ./*.go internal/core/*.go ||
 	echo "solve through Solve/Engine.Solve and schedule through ScheduleNetwork/Engine.ScheduleNetwork" >&2
 	status=1
 fi
+
+# The map-walking reference model, declared outside the tests.
+reference='Flows|pairFlow|computeFlow|passCount|loopsBetween'
+for f in internal/cost/*.go; do
+	case $f in *_test.go) continue ;; esac
+	if grep -nE "$decl($reference)\(" "$f"; then
+		echo "guard-stepper: $f declares the map-walking reference model;" >&2
+		echo "score mappings through cost.Session (the reference lives in internal/cost's tests)" >&2
+		status=1
+	fi
+done
 
 exit $status

@@ -115,9 +115,10 @@ type (
 	// Options configures the optimizer.
 	Options = core.Options
 	// AnalyticalOptions configures the closed-form analytical layer
-	// (Options.Analytical): the one-shot seed incumbent and the admissible
+	// (Options.Analytical): the one-shot seed incumbent and the
 	// lower-bound pruning. Both default on; an explicit zero
-	// &AnalyticalOptions{} disables both.
+	// &AnalyticalOptions{} disables both. The bound is not admissible on
+	// strided 1x1 convs, where its cuts can discard a better mapping.
 	AnalyticalOptions = core.AnalyticalOptions
 	// Problem bundles a workload, an architecture, and an optional
 	// non-default cost model into one value identifying a scheduling
@@ -285,31 +286,27 @@ func Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 	return core.SolveContext(ctx, p, opt)
 }
 
-// Evaluate scores an arbitrary mapping with the default cost model.
+// Evaluate scores an arbitrary mapping with the default cost model and
+// returns the full Report: EDP, energy, cycles, the per-component energy
+// breakdown and the per-buffer access table.
 func Evaluate(m *Mapping) Report { return cost.Evaluate(m) }
 
-// CostSession holds the precomputed per-(workload, arch) tables and the
-// search-wide memoization cache of the scalar fast-path cost evaluator.
+// CostSession is the cost model compiled for one (workload, arch) pair:
+// its precomputed tables and a memoization cache shared by its evaluators.
 // Solve builds one internally per run; build one yourself (NewCostSession)
-// to score many mappings of the same workload on the same architecture
-// without Report allocation overhead.
+// to score many mappings of the same workload on the same architecture —
+// CostEvaluator.EvaluateEDP returns the scalars without allocating, and
+// CostEvaluator.Report the full Report.
 type CostSession = cost.Session
 
 // CostEvaluator is a single goroutine's scratch-carrying handle onto a
 // CostSession. Evaluators are cheap; create one per worker.
 type CostEvaluator = cost.Evaluator
 
-// NewCostSession builds a fast-path evaluation session for w on a using the
-// default cost model.
+// NewCostSession builds an evaluation session for w on a using the default
+// cost model.
 func NewCostSession(w *Workload, a *Arch) *CostSession {
 	return cost.Default.NewSession(w, a)
-}
-
-// EvaluateEDP scores m on the scalar fast path: bit-identical EDP, energy
-// (pJ), cycles and validity to Evaluate, without building a Report. For
-// repeated scoring, hold a CostSession and reuse its evaluators instead.
-func EvaluateEDP(m *Mapping) (edp, energyPJ, cycles float64, valid bool) {
-	return cost.Default.EvaluateEDP(m)
 }
 
 // NewMapping returns an empty mapping of w onto a, for hand construction.
