@@ -32,8 +32,9 @@ fmt-check:
 
 # guard enforces that the direction-specific entry points stay merged (no
 # code outside the unified level sequencer may call bottomUp/topDown), that
-# the removed solve/schedule entry points are not declared again, and that
-# the map-walking reference cost model stays in internal/cost's tests.
+# the removed solve/schedule entry points are not declared again, that the
+# map-walking reference cost model stays in internal/cost's tests, and that
+# the deleted search-wide evaluation memo is not declared again.
 guard:
 	./scripts/guard-stepper.sh
 

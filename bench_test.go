@@ -164,24 +164,15 @@ func BenchmarkOptimizeConvConventionalTelemetry(b *testing.B) {
 }
 
 // BenchmarkOptimizeConvSimba measures a search on the deeper Simba
-// hierarchy (two spatial levels, bypass) — the scalability case. The
-// cache-hit-rate metric tracks how much of the search's evaluation load the
-// memoization layer absorbs.
+// hierarchy (two spatial levels, bypass) — the scalability case.
 func BenchmarkOptimizeConvSimba(b *testing.B) {
 	w := sunstone.ResNet18Layers[1].Inference(16)
 	a := sunstone.Simba()
 	b.ResetTimer()
-	var hits, misses uint64
 	for i := 0; i < b.N; i++ {
-		res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
-		if err != nil {
+		if _, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{}); err != nil {
 			b.Fatal(err)
 		}
-		hits += res.Stats.EvalCacheHits
-		misses += res.Stats.EvalCacheMisses
-	}
-	if total := hits + misses; total > 0 {
-		b.ReportMetric(100*float64(hits)/float64(total), "cache-hit-%")
 	}
 }
 
@@ -282,9 +273,9 @@ func BenchmarkEvaluateMapping(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateEDP measures one scalar fast-path evaluation on the
-// memoized path (same mapping every iteration — a cache hit after the first
-// call). Steady state must be allocation-free: 0 allocs/op.
+// BenchmarkEvaluateEDP measures one scalar evaluation — the true cost of
+// scoring a mapping with the model. Steady state must be allocation-free:
+// 0 allocs/op.
 func BenchmarkEvaluateEDP(b *testing.B) {
 	w := sunstone.ResNet18Layers[1].Inference(16)
 	a := sunstone.Conventional()
@@ -294,7 +285,6 @@ func BenchmarkEvaluateEDP(b *testing.B) {
 	}
 	m := res.Mapping
 	ev := sunstone.NewCostSession(w, a).NewEvaluator()
-	ev.EvaluateEDP(m) // warm: the first call pays the cache insert
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -304,32 +294,10 @@ func BenchmarkEvaluateEDP(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateEDPUncached measures the raw scalar compute path with the
-// memoization layer bypassed — the true cost of one model evaluation. Also
-// 0 allocs/op.
-func BenchmarkEvaluateEDPUncached(b *testing.B) {
-	w := sunstone.ResNet18Layers[1].Inference(16)
-	a := sunstone.Conventional()
-	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := res.Mapping
-	ev := sunstone.NewCostSession(w, a).NewEvaluator()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, valid := ev.EvaluateEDPUncached(m); !valid {
-			b.Fatal("invalid")
-		}
-	}
-}
-
 // BenchmarkEngineReuse quantifies what a long-lived Engine buys: the cold
 // case pays the full per-problem compilation (ordering trie, ladder tables,
-// fit skeleton, cost-session tables) and searches with an empty evaluation
-// memo on every iteration; the warm case reuses one Engine's compiled
-// artifacts and warmed memo across iterations. The warm/cold ns/op ratio in
+// fit skeleton, cost-session tables) on every iteration; the warm case
+// reuses one Engine's compiled artifacts across iterations. The warm/cold ns/op ratio in
 // BENCH_PR4.json is the Engine-reuse speedup.
 func BenchmarkEngineReuse(b *testing.B) {
 	w := sunstone.ResNet18Layers[1].Inference(16)

@@ -66,8 +66,8 @@ func auditLayer(t *testing.T, run int, l sunstone.LayerSchedule) {
 
 // TestChaosGuarantee is the headline graceful-degradation property: under a
 // 30% uniform fault rate across every injection site (compile errors and
-// panics, expansion panics, evaluation panics and latency, memo-read
-// corruption, progress-callback panics), every layer of every seeded
+// panics, expansion panics, evaluation panics and latency,
+// progress-callback panics), every layer of every seeded
 // ScheduleNetwork run (one layer per group, Options.Retry set) still comes
 // back with an audit-passing mapping and a coherent attempt record. The
 // injector is seeded per run, so a failure reproduces by its run number.

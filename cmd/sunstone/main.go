@@ -283,10 +283,7 @@ func main() {
 		fmt.Printf("seed     EDP %.4e analytic one-shot (%.2fx final)\n",
 			res.SeedEDP, res.SeedEDP/res.Report.EDP)
 	}
-	if total := st.EvalCacheHits + st.EvalCacheMisses; total > 0 {
-		fmt.Printf("cache    %.1f%% hit rate (%d/%d); beam cut %d, bound cut %d\n",
-			100*float64(st.EvalCacheHits)/float64(total), st.EvalCacheHits, total, st.PrunedBeam, st.PrunedBound)
-	}
+	fmt.Printf("prune    beam cut %d, bound cut %d\n", st.PrunedBeam, st.PrunedBound)
 	if res.Stopped != sunstone.StopComplete {
 		fmt.Printf("stopped  %s — reporting the best mapping found before the signal\n", res.Stopped)
 	}

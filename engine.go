@@ -11,12 +11,11 @@ import (
 // Engine is a long-lived, goroutine-safe optimizer front end that caches the
 // expensive per-(workload, architecture, cost model) compilation artifacts —
 // the pruned ordering trie, the factor/divisor ladder tables, the fit-check
-// capacity skeleton, and the fast-path cost session with its search-wide
-// evaluation memo — across calls. The first Solve for a problem shape
+// capacity skeleton, the fast-path cost session's tables, and the memoized
+// level expansions — across calls. The first Solve for a problem shape
 // compiles it; every later call on the same shape (same Engine) reuses the
-// compiled artifacts and the warmed evaluation cache, which is the common
-// case when scheduling a network whose layers repeat or when sweeping options
-// over one layer.
+// compiled artifacts, which is the common case when scheduling a network
+// whose layers repeat or when sweeping options over one layer.
 //
 // The zero-cost alternative remains: the package-level Solve builds the
 // same artifacts per call. An Engine never changes *what* is found — results

@@ -12,7 +12,7 @@ import (
 // with a mix of repeating workload shapes — the serving pattern the Engine
 // exists for. Run under -race (make race includes this package) it checks
 // the whole compiled-artifact sharing story: the sharded cache, the
-// singleflight compile gate, the shared cost-session memo, and the memoized
+// singleflight compile gate, the shared cost session, and the memoized
 // level expansions. Each call's Result must stand alone: per-shape
 // deterministic EDP, and flow counters that satisfy the partition identity
 // independently of the concurrent calls sharing the compiled problem.
@@ -48,7 +48,7 @@ func TestEngineSharedAcrossGoroutines(t *testing.T) {
 					return
 				}
 				// Per-call stats must partition on their own even though the
-				// compiled problem (memo, expansions) is shared.
+				// compiled problem (session, expansions) is shared.
 				st := res.Stats
 				if got := st.Pruned() + st.Deduped + st.Evaluated + st.Skipped; got != st.Generated {
 					t.Errorf("goroutine %d call %d (%s): flow identity broken: %d != generated %d",

@@ -27,10 +27,10 @@ func ExampleDefaultOptions() {
 }
 
 // An Engine caches per-problem compilation artifacts across calls: repeated
-// shapes compile once and later searches reuse the warm tables and memoized
-// expansions (cold ~90ms vs warm ~9ms for a ResNet-18 conv layer on the
-// conventional preset — see BenchmarkEngineReuse). Results are identical to
-// the package-level Solve; only the speed differs.
+// shapes compile once and later searches reuse the compiled tables and
+// memoized expansions (cold ~90ms vs warm ~9ms for a ResNet-18 conv layer
+// on the conventional preset — see BenchmarkEngineReuse). Results are
+// identical to the package-level Solve; only the speed differs.
 func ExampleNewEngine() {
 	eng := sunstone.NewEngine() // goroutine-safe; share one per process
 

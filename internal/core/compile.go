@@ -20,17 +20,16 @@ import (
 // otherwise repeat on every Solve call for the same problem.
 //
 // A Compiled is immutable after Compile returns and safe for any number of
-// concurrent searches: the ordering set and fit skeleton are read-only, and
-// the cost session and ladder cache guard their memo tables internally. The
-// session's evaluation memo is search-wide on a per-call compile and
-// engine-wide when the Compiled comes from an Engine — warm calls start with
-// the cache already populated.
+// concurrent searches: the ordering set, fit skeleton and cost session are
+// read-only, and the ladder and expansion caches guard their memo tables
+// internally. When the Compiled comes from an Engine, warm calls start with
+// those caches already populated.
 type Compiled struct {
 	w     *tensor.Workload
 	a     *arch.Arch
 	model cost.Model
 
-	sess       *cost.Session    // fast-path plan tables + shared eval memo
+	sess       *cost.Session    // fast-path plan tables
 	orderings  []order.Ordering // pruned ordering-trie survivors
 	ostats     order.Stats      // trie effort, replayed into each run's counters
 	fit        fitSkeleton      // static structure of the capacity tables

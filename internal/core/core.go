@@ -421,8 +421,8 @@ type Result struct {
 	CandidateErrors []error
 	// Stats snapshots the search's telemetry counters at return: candidate
 	// flow (generated / pruned by principle / deduped / evaluated /
-	// skipped), post-evaluation beam cuts, and the fast-path evaluator's
-	// memo-cache hits and misses.
+	// skipped) and post-evaluation beam cuts. EvalCacheHits and
+	// EvalCacheMisses are always zero (see obs.SearchStats).
 	Stats   SearchStats
 	Elapsed time.Duration
 	// Attempts records every attempt the resilient path made before this
@@ -485,10 +485,10 @@ func optimizeCompiled(ctx context.Context, comp *Compiled, opt Options) (Result,
 // search is the per-run evaluation context over a compiled problem: one
 // scratch evaluator per worker thread — so the steady-state scoring path
 // allocates nothing and never contends on scratch space — and the run's
-// telemetry: a counter registry (candidate flow plus per-run memo-cache
-// attribution) and the progress emitter. The compiled artifacts (cost
-// session, orderings, fit skeleton, ladder memo) may be shared with other
-// concurrent searches; everything mutable here is per-run.
+// telemetry: a counter registry of candidate flow and the progress emitter.
+// The compiled artifacts (cost session, orderings, fit skeleton, ladder
+// memo) may be shared with other concurrent searches; everything mutable
+// here is per-run.
 type search struct {
 	opt  Options
 	comp *Compiled
@@ -507,18 +507,11 @@ type search struct {
 func newSearch(comp *Compiled, opt Options) *search {
 	sc := &search{opt: opt, comp: comp, sess: comp.sess, best: newBestScore()}
 	sc.evs = make([]*cost.Evaluator, opt.Threads)
-	// Cache hits/misses are charged to per-run counters (as well as the
-	// session's lifetime tally) so Result.Stats partitions per call even
-	// when an Engine shares one session across many searches.
-	hits, misses := &obs.Counter{}, &obs.Counter{}
 	for i := range sc.evs {
 		sc.evs[i] = sc.sess.NewEvaluator()
-		sc.evs[i].CountCacheInto(hits, misses)
 	}
 	sc.reg = obs.NewRegistry()
 	sc.ctr = obs.NewSearchCounters(sc.reg)
-	sc.reg.Register(obs.CtrCacheHits, hits)
-	sc.reg.Register(obs.CtrCacheMisses, misses)
 	sc.prog = newProgressEmitter(opt.Progress, sc.ctr)
 	return sc
 }

@@ -17,7 +17,7 @@ import (
 // identity — so a network scheduler that builds a fresh Workload per layer
 // still compiles each distinct shape exactly once, and every later call on
 // that shape starts with the ordering set, capacity tables, factor ladders,
-// and a warm evaluation memo already in hand.
+// and memoized level expansions already in hand.
 //
 // The cache is sharded to keep concurrent lookups cheap and bounded per
 // shard with LRU eviction so a workload-churning service cannot grow it

@@ -307,11 +307,7 @@ func shrinkOptions(o Options, f float64) Options {
 //
 //  1. structural legality — mapping.Validate covers factor coverage, buffer
 //     capacity (the fit check), fanout and spatial-reduction legality;
-//  2. an uncached Report on the problem's Session must succeed and report
-//     Valid;
-//  3. the memoized scalar path (EvaluateEDP) must agree with that Report
-//     bit for bit on EDP, energy and cycles — this is what catches a
-//     corrupted memo-cache read (chaos site "cache-get").
+//  2. a Report on the problem's Session must succeed and report Valid.
 //
 // The audit's own Report becomes the result's Report, so the numbers a
 // caller sees are exactly the audited ones. Any failure — including a panic
@@ -330,37 +326,12 @@ func (e *Engine) audit(w *tensor.Workload, a *arch.Arch, model cost.Model, m *ma
 		// session has no chaos hook on construction and always works.
 		sess = model.NewSession(w, a)
 	}
-	ev := sess.NewEvaluator()
-	rep, err := safeReport(ev, m)
+	rep, err := safeReport(sess.NewEvaluator(), m)
 	if err != nil {
 		return cost.Report{}, fmt.Errorf("audit: full evaluation failed: %w", err)
 	}
 	if !rep.Valid {
 		return cost.Report{}, fmt.Errorf("audit: mapping evaluates invalid: %v", rep.Invalid)
 	}
-	edp, energyPJ, cycles, valid, err := evalFastContained(ev, m)
-	if err != nil {
-		return cost.Report{}, fmt.Errorf("audit: fast-path evaluation failed: %w", err)
-	}
-	if !valid {
-		return cost.Report{}, errors.New("audit: fast path rejects a mapping the full model accepts")
-	}
-	if edp != rep.EDP || energyPJ != rep.EnergyPJ || cycles != rep.Cycles {
-		return cost.Report{}, fmt.Errorf(
-			"audit: fast path (EDP %g, energy %g pJ, %g cycles) disagrees with full evaluation (EDP %g, energy %g pJ, %g cycles)",
-			edp, energyPJ, cycles, rep.EDP, rep.EnergyPJ, rep.Cycles)
-	}
 	return rep, nil
-}
-
-// evalFastContained is one fast-path evaluation with panic containment, for
-// callers outside a search's worker pool.
-func evalFastContained(ev *cost.Evaluator, m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool, err error) {
-	defer func() {
-		if e := anytime.PanicErrorFrom(recover(), "fast-path audit evaluation", func() string { return reproMapping(m) }); e != nil {
-			valid, err = false, e
-		}
-	}()
-	edp, energyPJ, cycles, valid = ev.EvaluateEDP(m)
-	return edp, energyPJ, cycles, valid, nil
 }

@@ -123,31 +123,6 @@ func TestResilientExhaustsWhenEvaluationIsDead(t *testing.T) {
 	}
 }
 
-// TestResilientAuditCatchesMemoCorruption arms 100% cache-get corruption:
-// every memo hit returns perturbed scalars, so the audit's fast-path
-// cross-check must disagree with the full evaluation on any mapping that was
-// scored before (every candidate the search or a fallback touched) and
-// reject it.
-func TestResilientAuditCatchesMemoCorruption(t *testing.T) {
-	restore := faults.Activate(mustInjector(t, 1,
-		faults.Rule{Site: faults.SiteCacheGet, Kind: faults.Corrupt, Rate: 1}))
-	defer restore()
-
-	w := conv1D(t, 4, 4, 8, 3)
-	a := arch.Tiny(256)
-	pol := RetryPolicy{Retries: -1, FallbackTries: 1, MaxAttempts: 3}
-	res, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, withRetry(Options{}, pol))
-	if err == nil {
-		t.Fatal("permanently corrupted memo reads must fail the audit")
-	}
-	if !strings.Contains(err.Error(), "disagrees with full evaluation") {
-		t.Errorf("error should carry the cross-check diagnosis: %v", err)
-	}
-	if len(res.Attempts) != 3 {
-		t.Errorf("Attempts = %d, want 3", len(res.Attempts))
-	}
-}
-
 // TestResilientSurvivesExpansionPanics arms a 100% expansion fault: the
 // primary search dies by panic on every attempt (contained to the attempt),
 // and the fallback chain still delivers an audited mapping.

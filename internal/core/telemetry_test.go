@@ -53,9 +53,6 @@ func TestCounterIdentity(t *testing.T) {
 				if sum := s.PrunedOrdering + s.PrunedTiling + s.PrunedUnrolling + s.BoundPruned; sum != s.Pruned() {
 					t.Errorf("Pruned() = %d does not partition into its components (%d)", s.Pruned(), sum)
 				}
-				if s.EvalCacheHits+s.EvalCacheMisses == 0 {
-					t.Error("memo-cache counters did not move")
-				}
 				// With the analytical layer off, the bound bucket must stay
 				// empty and the identity must still close.
 				off, err := Solve(Problem{Workload: w, Arch: tc.a}, Options{Direction: dir, Analytical: &AnalyticalOptions{}})

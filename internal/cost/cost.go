@@ -28,9 +28,8 @@
 //
 // There is one implementation of the model: a Session compiles a (workload,
 // arch) pair into dense tables, and its Evaluators score mappings against
-// them — EvaluateEDP for the search's scalar objective (memoized),
-// EvaluateEDPUncached for the raw computation, and Report for the full
-// per-component energy breakdown and access table. Evaluate is Report on a
+// them — EvaluateEDP for the search's scalar objective, and Report for the
+// full per-component energy breakdown and access table. Evaluate is Report on a
 // one-shot Session. The package tests keep a map-walking transcription of
 // the same equations as a reference and pin every Report to it bit for bit.
 package cost
@@ -59,9 +58,9 @@ type Model struct {
 	// default (Timeloop models halo reuse too); the paper's Eqs. (1)-(3)
 	// hold either way for their loop order.
 	SlidingReuse bool
-	// Probe, if set, is called at the start of every evaluation — Report,
-	// EvaluateEDP and EvaluateEDPUncached alike (fault injection for
-	// robustness tests; nil in production).
+	// Probe, if set, is called at the start of every evaluation — Report
+	// and EvaluateEDP alike (fault injection for robustness tests; nil in
+	// production).
 	Probe Probe
 	// Resident, when non-nil, marks tensors as resident at an on-chip
 	// storage level for fused cross-layer execution: every keeper-pair flow

@@ -5,13 +5,6 @@
 // Accesses maps — and an Evaluator owns reusable scratch, so scoring a
 // mapping's scalars allocates nothing in steady state. Report materializes
 // those tables into the full Report for final mappings and the CLI.
-//
-// On top of the scalar path sits a search-wide memoization cache keyed by a
-// canonical 128-bit fingerprint of the mapping (per level: the effective
-// order of bound>1 temporal loops, every temporal bound, every spatial
-// factor). Hill-climb polish and the beam revisit the same completed
-// mappings heavily; a cache hit returns the memoized scalars without
-// touching the model.
 
 package cost
 
@@ -19,12 +12,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"sunstone/internal/arch"
 	"sunstone/internal/faults"
 	"sunstone/internal/mapping"
-	"sunstone/internal/obs"
 	"sunstone/internal/tensor"
 )
 
@@ -35,19 +26,6 @@ import (
 // relative order of bound-1 loops), so Keys double as dedup handles for the
 // search's candidate sets.
 type Key struct{ Hi, Lo uint64 }
-
-// cacheEntry memoizes one evaluation's scalar results.
-type cacheEntry struct {
-	edp, energy, cycles float64
-	valid               bool
-}
-
-const cacheShards = 64
-
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[Key]cacheEntry
-}
 
 // termPlan is one summand of an axis index expression, with the dimension
 // resolved to its Session index.
@@ -102,8 +80,8 @@ type capPlan struct {
 }
 
 // Session holds the per-(workload, arch) precomputation shared by all
-// Evaluators of one search, plus the search-wide memoization cache. A
-// Session is immutable after NewSession and safe for concurrent use.
+// Evaluators of one search. A Session is immutable after NewSession and
+// safe for concurrent use.
 type Session struct {
 	model Model
 	w     *tensor.Workload
@@ -141,9 +119,6 @@ type Session struct {
 	lbEnergyPJ   float64 // energy floor: MACs + compulsory buffer traffic
 	lbXferCycles float64 // cycle floor from bandwidth on compulsory traffic
 	lbMaxSpatial float64 // Π fanouts — the most parallelism any mapping has
-
-	shards       [cacheShards]cacheShard
-	hits, misses obs.Counter
 }
 
 // levelCoef caches the per-level NoC coefficients.
@@ -516,61 +491,12 @@ func insertionSortStrings(a []string) {
 	}
 }
 
-// CacheStats returns the memoization cache's hit and miss counts so far.
-func (s *Session) CacheStats() (hits, misses uint64) {
-	return s.hits.Load(), s.misses.Load()
-}
-
-// CacheCounters exposes the live cache hit/miss counters so a search can
-// adopt them into its telemetry registry (obs.Registry.Register) and stream
-// the hit rate mid-run instead of waiting for a final CacheStats snapshot.
-func (s *Session) CacheCounters() (hits, misses *obs.Counter) {
-	return &s.hits, &s.misses
-}
-
-// lookup consults the memo cache, charging the outcome to the Session's
-// lifetime counters and — when the Evaluator has been wired with
-// CountCacheInto — to the per-run counters as well, so a search on a shared
-// (Engine-cached) Session still reports its own hit rate.
-func (e *Evaluator) lookup(k Key) (cacheEntry, bool) {
-	s := e.s
-	sh := &s.shards[k.Hi%cacheShards]
-	sh.mu.RLock()
-	v, ok := sh.m[k]
-	sh.mu.RUnlock()
-	if ok {
-		s.hits.Add(1)
-		if e.hits != nil {
-			e.hits.Add(1)
-		}
-	} else {
-		s.misses.Add(1)
-		if e.misses != nil {
-			e.misses.Add(1)
-		}
-	}
-	return v, ok
-}
-
-func (s *Session) store(k Key, e cacheEntry) {
-	sh := &s.shards[k.Hi%cacheShards]
-	sh.mu.Lock()
-	if sh.m == nil { // shards fill lazily: a one-shot Session never stores
-		sh.m = make(map[Key]cacheEntry)
-	}
-	sh.m[k] = e
-	sh.mu.Unlock()
-}
-
 // Evaluator owns the mutable scratch for scoring mappings against one
 // Session. It is NOT safe for concurrent use; create one per worker
 // goroutine (Session.NewEvaluator is cheap and the Session itself is
 // shared).
 type Evaluator struct {
 	s *Session
-
-	// Per-run cache attribution (see CountCacheInto); nil = Session-only.
-	hits, misses *obs.Counter
 
 	// Snapshot of the mapping under evaluation (filled by snapshot()).
 	tb    []int   // nLevels x nDims temporal bounds (the T() view)
@@ -617,21 +543,11 @@ func (s *Session) NewEvaluator() *Evaluator {
 	}
 }
 
-// CountCacheInto additionally charges this Evaluator's memo-cache hits and
-// misses to the given counters. The Session's lifetime counters (CacheStats)
-// keep accumulating regardless; the per-run pair is what lets many searches
-// share one long-lived Session — as an Engine does — while each Result.Stats
-// still partitions cleanly per call.
-func (e *Evaluator) CountCacheInto(hits, misses *obs.Counter) {
-	e.hits, e.misses = hits, misses
-}
-
 // Report validates and scores m, returning the full Report: the scalars,
 // the per-component energy Breakdown, the per-slot Accesses, and the MAC
 // count. Legality and the Invalid error come from m.Validate; invalid
 // mappings get +Inf scalars and empty maps. The Probe and the evaluation
-// fault hook fire once. Report bypasses the memo cache, so it is the
-// uncached cross-check for EvaluateEDP's memoized scalars.
+// fault hook fire once.
 func (e *Evaluator) Report(m *mapping.Mapping) Report {
 	s := e.s
 	if s.model.Probe != nil {
@@ -671,14 +587,13 @@ func (e *Evaluator) Report(m *mapping.Mapping) Report {
 }
 
 // EvaluateEDP scores m on the zero-allocation scalar path, returning exactly
-// the EDP/EnergyPJ/Cycles/Valid that Report would. Results are memoized in
-// the Session's search-wide cache under the mapping's canonical Key; the
-// Probe (fault injection) still fires on every call, before the cache is
-// consulted.
+// the EDP/EnergyPJ/Cycles/Valid that Report would. Every call computes: a
+// search scores only a few hundred mappings, so scoring again is cheaper
+// than keeping a per-mapping result cache alive for the Session's lifetime.
+// The Probe and the evaluation fault hook fire on every call.
 func (e *Evaluator) EvaluateEDP(m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool) {
-	s := e.s
-	if s.model.Probe != nil {
-		s.model.Probe.BeforeEvaluate(m)
+	if e.s.model.Probe != nil {
+		e.s.model.Probe.BeforeEvaluate(m)
 	}
 	// Chaos hook: an injected evaluation fault panics, contained by the
 	// caller's per-candidate isolation like any poisoned cost model.
@@ -686,33 +601,14 @@ func (e *Evaluator) EvaluateEDP(m *mapping.Mapping) (edp, energyPJ, cycles float
 	if !e.snapshot(m) {
 		return inf, inf, inf, false
 	}
-	k := e.key()
-	if v, ok := e.lookup(k); ok {
-		// Chaos hook: a corrupt-kind cache-get fault perturbs the memoized
-		// scalars on the way out (the stored entry stays clean), simulating
-		// the memo corruption the final mapping audit exists to catch.
-		if _, corrupt := faults.Fire(faults.SiteCacheGet); corrupt {
-			return v.edp * 1.5, v.energy * 1.5, v.cycles, v.valid
-		}
-		return v.edp, v.energy, v.cycles, v.valid
-	}
-	edp, energyPJ, cycles, valid = e.compute()
-	s.store(k, cacheEntry{edp: edp, energy: energyPJ, cycles: cycles, valid: valid})
-	return edp, energyPJ, cycles, valid
+	return e.compute()
 }
 
-// EvaluateEDPUncached is EvaluateEDP without the memoization layer — the
-// raw compute path. Useful for one-shot scoring and for benchmarking the
-// model itself.
+// EvaluateEDPUncached is EvaluateEDP. It survives only because the
+// repository benchmark compiles against it; the next benchmark change
+// removes it.
 func (e *Evaluator) EvaluateEDPUncached(m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool) {
-	s := e.s
-	if s.model.Probe != nil {
-		s.model.Probe.BeforeEvaluate(m)
-	}
-	if !e.snapshot(m) {
-		return inf, inf, inf, false
-	}
-	return e.compute()
+	return e.EvaluateEDP(m)
 }
 
 // Key returns the mapping's canonical fingerprint, or ok=false when the
@@ -731,7 +627,7 @@ func (e *Evaluator) Key(m *mapping.Mapping) (k Key, ok bool) {
 // It returns false, leaving the scratch partial, when the raw maps hold
 // what Validate rejects but the T/S view cannot represent: a factor < 1,
 // or a spatial factor > 1 on an undeclared dimension. Such a mapping is
-// invalid and never cached.
+// invalid.
 func (e *Evaluator) snapshot(m *mapping.Mapping) bool {
 	s := e.s
 	nd := len(s.dims)

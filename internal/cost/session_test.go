@@ -143,8 +143,8 @@ func requireSameReport(t *testing.T, got, want Report) {
 }
 
 // checkEquivalence runs one mapping through the reference model, Report,
-// the memoized scalar path (twice: miss then hit), and the uncached scalar
-// path, requiring the reference's numbers from all of them.
+// and the scalar path (twice, so the second pass runs on scratch the first
+// one dirtied), requiring the reference's numbers from all of them.
 func checkEquivalence(t *testing.T, model Model, ev *Evaluator, m *mapping.Mapping) {
 	t.Helper()
 	rep := model.referenceEvaluate(m)
@@ -153,8 +153,6 @@ func checkEquivalence(t *testing.T, model Model, ev *Evaluator, m *mapping.Mappi
 		edp, en, cy, valid := ev.EvaluateEDP(m)
 		requireSameScalars(t, "EvaluateEDP", rep, edp, en, cy, valid)
 	}
-	edp, en, cy, valid := ev.EvaluateEDPUncached(m)
-	requireSameScalars(t, "EvaluateEDPUncached", rep, edp, en, cy, valid)
 }
 
 // equivalenceCase is one (workload, arch) pair of the property test.
@@ -185,10 +183,10 @@ func equivalenceCases() []struct {
 }
 
 // TestEvaluateEDPEquivalenceProperty pins production to the reference
-// model: Report field by field, and the memoized and uncached scalars bit
-// for bit, on randomized valid AND invalid mappings across the
-// Conventional, Simba, and DianNao presets, plus the tiny fixtures the other
-// property tests use (one with a fanout level, one without).
+// model: Report field by field, and the scalar path bit for bit, on
+// randomized valid AND invalid mappings across the Conventional, Simba, and
+// DianNao presets, plus the tiny fixtures the other property tests use (one
+// with a fanout level, one without).
 func TestEvaluateEDPEquivalenceProperty(t *testing.T) {
 	const samples = 120
 	for _, tc := range equivalenceCases() {
@@ -239,7 +237,7 @@ func TestEvaluateEDPSlidingReuseOff(t *testing.T) {
 
 // TestEvaluateEDPEdgeCases pins the off-domain handling: raw factors < 1
 // and spatial factors on undeclared dimensions are invalid on every path
-// and uncacheable (Key refuses them); undeclared temporal factors and
+// and have no Key (Key refuses them); undeclared temporal factors and
 // explicit 1-entries are cost-invisible.
 func TestEvaluateEDPEdgeCases(t *testing.T) {
 	tc := equivalenceCases()[0]
@@ -330,9 +328,8 @@ func TestMappingKeyCanonicalization(t *testing.T) {
 	}
 }
 
-// TestEvaluateEDPZeroAlloc guards the tentpole's core claim: the fast path
-// allocates nothing in steady state, on both the cache-hit path and the raw
-// compute path.
+// TestEvaluateEDPZeroAlloc guards the scalar path's core claim: it
+// allocates nothing in steady state.
 func TestEvaluateEDPZeroAlloc(t *testing.T) {
 	tc := equivalenceCases()[1] // conv2d on Conventional: a realistic size
 	ev := Default.NewSession(tc.w, tc.a).NewEvaluator()
@@ -344,19 +341,15 @@ func TestEvaluateEDPZeroAlloc(t *testing.T) {
 			break
 		}
 	}
-	ev.EvaluateEDP(m) // warm: the first call pays the cache insert
 	if allocs := testing.AllocsPerRun(200, func() { ev.EvaluateEDP(m) }); allocs != 0 {
-		t.Errorf("cache-hit path allocates %v objects/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() { ev.EvaluateEDPUncached(m) }); allocs != 0 {
-		t.Errorf("compute path allocates %v objects/op, want 0", allocs)
+		t.Errorf("EvaluateEDP allocates %v objects/op, want 0", allocs)
 	}
 }
 
-// TestEvaluatorConcurrentScratchReuse exercises per-worker scratch reuse and
-// the shared memoization cache under concurrency (run with -race): workers
-// with private Evaluators score an overlapping candidate stream against a
-// single Session, and every result must match the serial reference model.
+// TestEvaluatorConcurrentScratchReuse exercises per-worker scratch reuse
+// against one shared Session under concurrency (run with -race): workers
+// with private Evaluators score an overlapping candidate stream, and every
+// result must match the serial reference model.
 func TestEvaluatorConcurrentScratchReuse(t *testing.T) {
 	tc := equivalenceCases()[2] // conv2d on Simba: multi-spatial-level
 	sess := Default.NewSession(tc.w, tc.a)
@@ -376,8 +369,8 @@ func TestEvaluatorConcurrentScratchReuse(t *testing.T) {
 		go func(wk int) {
 			defer wg.Done()
 			ev := sess.NewEvaluator()
-			// Offset start: workers overlap on the same mappings, hitting
-			// the cache from different goroutines.
+			// Offset start: workers overlap on the same mappings from
+			// different goroutines.
 			for j := 0; j < n; j++ {
 				i := (j + wk*n/workers) % n
 				edp, en, cy, valid := ev.EvaluateEDP(ms[i])
@@ -399,9 +392,5 @@ func TestEvaluatorConcurrentScratchReuse(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
-	}
-	hits, misses := sess.CacheStats()
-	if hits == 0 || misses == 0 {
-		t.Errorf("cache stats hits=%d misses=%d: expected both non-zero under overlapping workers", hits, misses)
 	}
 }

@@ -41,10 +41,6 @@ const (
 	// (cost.Evaluator's Report and EvaluateEDP); error and panic kinds
 	// panic (contained by the search's per-candidate isolation).
 	SiteEvaluate Site = "evaluate"
-	// SiteCacheGet fires on evaluation-memo cache hits. Corrupt-kind
-	// faults perturb the returned scalars (simulating memo corruption the
-	// final audit must catch); error and panic kinds panic.
-	SiteCacheGet Site = "cache-get"
 	// SiteProgress fires before each Options.Progress callback delivery;
 	// all kinds panic (contained by the progress emitter).
 	SiteProgress Site = "progress-callback"
@@ -60,7 +56,7 @@ const (
 
 // Sites lists every injection site, in stack order.
 func Sites() []Site {
-	return []Site{SiteCompile, SiteExpand, SiteEvaluate, SiteCacheGet, SiteProgress, SiteJournal}
+	return []Site{SiteCompile, SiteExpand, SiteEvaluate, SiteProgress, SiteJournal}
 }
 
 // Kind classifies what a fired fault does.
@@ -74,7 +70,7 @@ const (
 	Panic
 	// Latency sleeps for the rule's Delay, then proceeds normally.
 	Latency
-	// Corrupt asks the site to corrupt its own data (only the cache-get
+	// Corrupt asks the site to corrupt its own data (only the journal
 	// site implements corruption; elsewhere it is a no-op).
 	Corrupt
 )
@@ -174,9 +170,9 @@ func NewInjector(seed int64, rules ...Rule) (*Injector, error) {
 
 // NewUniform arms every site with every applicable destructive kind at the
 // given rate — the chaos-test workhorse. Each site gets an error/panic mix
-// (split evenly so the combined firing rate stays near rate), the cache-get
-// site additionally gets corruption, and every site gets a thin slice of
-// latency with a tiny delay.
+// (split evenly so the combined firing rate stays near rate), the journal
+// site additionally gets corruption, and the evaluate and journal sites get
+// a thin slice of latency with a tiny delay.
 func NewUniform(seed int64, rate float64) *Injector {
 	half := rate / 2
 	tiny := 50 * time.Microsecond
@@ -187,7 +183,6 @@ func NewUniform(seed int64, rate float64) *Injector {
 		Rule{Site: SiteExpand, Kind: Panic, Rate: half},
 		Rule{Site: SiteEvaluate, Kind: Panic, Rate: rate},
 		Rule{Site: SiteEvaluate, Kind: Latency, Rate: rate / 8, Delay: tiny},
-		Rule{Site: SiteCacheGet, Kind: Corrupt, Rate: rate},
 		Rule{Site: SiteProgress, Kind: Panic, Rate: rate},
 		Rule{Site: SiteJournal, Kind: Error, Rate: half},
 		Rule{Site: SiteJournal, Kind: Corrupt, Rate: half},
@@ -314,7 +309,7 @@ func MustFire(site Site) {
 // "all" arms the uniform chaos mix of NewUniform at the given rate.
 //
 //	evaluate:panic:0.3
-//	compile:error:0.1,cache-get:corrupt:0.05,seed=42
+//	compile:error:0.1,journal:corrupt:0.05,seed=42
 //	evaluate:latency:0.2:1ms
 //	all:mixed:0.3,seed=7
 func ParseSpec(spec string) (*Injector, error) {
@@ -384,7 +379,7 @@ func ParseSpec(spec string) (*Injector, error) {
 // error so a CLI typo is self-documenting.
 const specGrammar = "spec = rule{,rule}[,seed=N] | all:mixed:rate[,seed=N]; " +
 	"rule = site:kind:rate[:delay]; " +
-	"site = compile | expand | evaluate | cache-get | progress-callback | journal; " +
+	"site = compile | expand | evaluate | progress-callback | journal; " +
 	"kind = error | panic | latency | corrupt; rate in [0, 1]; delay like 1ms"
 
 // specError builds a ParseSpec error that names the offending token and

@@ -138,7 +138,7 @@ func TestConcurrentFiringIsRaceClean(t *testing.T) {
 				func() {
 					defer func() { recover() }()
 					Fire(SiteEvaluate)
-					Fire(SiteCacheGet)
+					Fire(SiteJournal)
 					MustFire(SiteProgress)
 				}()
 			}
@@ -186,6 +186,7 @@ func TestParseSpecErrors(t *testing.T) {
 		{"uniform rate above one", "all:mixed:1.5", `1.5`},
 		{"unknown kind", "evaluate:nosuchkind:0.5", `"nosuchkind"`},
 		{"unknown site", "nosuchsite:panic:0.5", `"nosuchsite"`},
+		{"removed cache-get site", "cache-get:corrupt:0.5", `"cache-get"`},
 		{"bad delay", "evaluate:panic:0.5:notaduration", `"notaduration"`},
 		{"all mixed with rules", "all:mixed:0.3,evaluate:panic:0.1", `'all'`},
 		{"bad seed", "seed=abc,evaluate:panic:0.1", `"abc"`},

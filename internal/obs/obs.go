@@ -130,8 +130,6 @@ const (
 	CtrPrunedBound     = "pruned.bound"
 	CtrPrunedBeam      = "pruned.beam"
 	CtrBoundPruned     = "pruned.analytic"
-	CtrCacheHits       = "eval.cache.hits"
-	CtrCacheMisses     = "eval.cache.misses"
 )
 
 // Canonical counter names of the scheduler service (internal/server): the
@@ -259,8 +257,10 @@ type SearchStats struct {
 	// subsets of Evaluated, not part of the Generated identity.
 	PrunedBound uint64
 	PrunedBeam  uint64
-	// EvalCacheHits / EvalCacheMisses count lookups in the search-wide
-	// memoization cache of the fast-path cost evaluator.
+	// EvalCacheHits / EvalCacheMisses are always zero: the cost model keeps
+	// no per-mapping result cache, so there is nothing to count. They
+	// remain only because the repository benchmark (perfbench) compiles
+	// against them; the next change to the benchmark removes them.
 	EvalCacheHits   uint64
 	EvalCacheMisses uint64
 }
@@ -295,7 +295,5 @@ func SnapshotSearch(r *Registry) SearchStats {
 		BoundPruned:     get(CtrBoundPruned),
 		PrunedBound:     get(CtrPrunedBound),
 		PrunedBeam:      get(CtrPrunedBeam),
-		EvalCacheHits:   get(CtrCacheHits),
-		EvalCacheMisses: get(CtrCacheMisses),
 	}
 }

@@ -438,17 +438,13 @@ type job struct {
 	state     JobState
 	submitted time.Time
 	started   time.Time
-	finished  time.Time
-	res       core.Result
+	out       outcome             // the terminal values, set with a terminal state
 	nres      *core.NetworkResult // network-form jobs only
-	err       error
-	cause     core.FailureCause
-	mapping   []byte
-	cancel    func() // cancels the running search; nil until running
+	cancel    func()              // cancels the running search; nil until running
 	subs      map[chan sseFrame]struct{}
 	// evseq numbers SSE frames; history is the bounded replay ring;
-	// terminalID is the id the terminal frame carries (assigned when the
-	// subscriptions close, 0 until then).
+	// terminalID is the id the terminal frame carries (assigned with the
+	// terminal state, 0 until then).
 	evseq      uint64
 	history    []sseFrame
 	terminalID uint64
@@ -467,6 +463,16 @@ type job struct {
 	watchdogFired atomic.Bool
 	lastBeat      atomic.Int64 // UnixNano of the last progress sign of life
 	done          chan struct{}
+}
+
+// outcome is what a job ends with. finalize stages it, makes it durable,
+// and only then publishes it together with the terminal state.
+type outcome struct {
+	finished time.Time
+	res      core.Result
+	err      error
+	cause    core.FailureCause
+	mapping  []byte
 }
 
 func newJob(id, tenant string, w *tensor.Workload, a *arch.Arch, opt core.Options, deadline, now time.Time) *job {
@@ -516,8 +522,15 @@ func (j *job) status() JobStatus {
 	if j.restored != nil {
 		return *j.restored
 	}
+	return j.statusLocked(j.state, j.out)
+}
+
+// statusLocked renders the wire view the job has in state with outcome o;
+// the caller holds j.mu. finalize uses it to journal a terminal status
+// before publishing it.
+func (j *job) statusLocked(state JobState, o outcome) JobStatus {
 	st := JobStatus{
-		ID: j.id, Tenant: j.tenant, State: j.state,
+		ID: j.id, Tenant: j.tenant, State: state,
 		Workload: j.name(), Arch: j.a.Name,
 		SubmittedMS: j.submitted.UnixMilli(),
 		DeadlineMS:  j.deadline.UnixMilli(),
@@ -529,14 +542,14 @@ func (j *job) status() JobStatus {
 	if !j.started.IsZero() {
 		st.StartedMS = j.started.UnixMilli()
 	}
-	if !j.finished.IsZero() {
-		st.FinishedMS = j.finished.UnixMilli()
+	if !o.finished.IsZero() {
+		st.FinishedMS = o.finished.UnixMilli()
 	}
-	if j.state.Terminal() {
-		if j.res.Mapping != nil {
-			st.EDP = j.res.Report.EDP
-			st.EnergyPJ = j.res.Report.EnergyPJ
-			st.Cycles = j.res.Report.Cycles
+	if state.Terminal() {
+		if o.res.Mapping != nil {
+			st.EDP = o.res.Report.EDP
+			st.EnergyPJ = o.res.Report.EnergyPJ
+			st.Cycles = o.res.Report.Cycles
 		}
 		if j.nres != nil {
 			st.EDP = j.nres.EDP
@@ -551,15 +564,15 @@ func (j *job) status() JobStatus {
 				})
 			}
 		} else {
-			st.Stopped = j.res.Stopped.String()
+			st.Stopped = o.res.Stopped.String()
 		}
-		st.Attempts = len(j.res.Attempts)
-		st.FallbackUsed = j.res.FallbackUsed
-		st.Mapping = j.mapping
-		if j.err != nil {
-			st.Error = j.err.Error()
+		st.Attempts = len(o.res.Attempts)
+		st.FallbackUsed = o.res.FallbackUsed
+		st.Mapping = o.mapping
+		if o.err != nil {
+			st.Error = o.err.Error()
 		}
-		st.Cause = j.cause
+		st.Cause = o.cause
 		st.WatchdogFired = j.watchdogFired.Load()
 	}
 	st.Recovered = j.recovered
@@ -617,19 +630,6 @@ func (j *job) publish(frame []byte) {
 		case ch <- f:
 		default:
 		}
-	}
-	j.mu.Unlock()
-}
-
-// closeSubs ends every subscription and stamps the terminal frame's id;
-// called exactly once, at finalize.
-func (j *job) closeSubs() {
-	j.mu.Lock()
-	j.evseq++
-	j.terminalID = j.evseq
-	for ch := range j.subs {
-		close(ch)
-		delete(j.subs, ch)
 	}
 	j.mu.Unlock()
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -451,5 +453,75 @@ func TestJournalChaosRecovery(t *testing.T) {
 				t.Fatalf("restart re-ran %d restored jobs", d)
 			}
 		})
+	}
+}
+
+// TestTerminalOnlyAfterDurable: a job turns visibly terminal only once its
+// search-flow totals are counted, its terminal SSE frame id is stamped and
+// its result record is durable. A 200 ms latency on every journal write
+// widens the window between those steps, so the first poll that sees a
+// terminal state must already see all three.
+func TestTerminalOnlyAfterDurable(t *testing.T) {
+	dir := t.TempDir()
+	jr := openJournal(t, dir)
+	s := newTestServer(t, Config{Journal: jr})
+	t.Cleanup(func() { jr.Close() })
+	inj, err := faults.NewInjector(1, faults.Rule{
+		Site: faults.SiteJournal, Kind: faults.Latency, Rate: 1, Delay: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := faults.Activate(inj)
+	defer restore()
+
+	st := submit(t, s, `{"tenant":"acme","arch":"tiny","conv":{"K":2,"C":2,"P":4,"Q":4,"R":2,"S":2}}`)
+	fin := waitTerminal(t, s, st.ID)
+	restore()
+	if fin.State != JobDone {
+		t.Fatalf("job ended %q: %s", fin.State, fin.Error)
+	}
+
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	s.mu.Unlock()
+	if j.terminalFrameID() == 0 {
+		t.Error("terminal job visible before its terminal frame id")
+	}
+
+	// Copy the journal as it stands; the result record must already be on
+	// disk.
+	replayDir := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(replayDir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jr2 := openJournal(t, replayDir)
+	defer jr2.Close()
+	found := false
+	for _, r := range jr2.TakeReplayed() {
+		found = found || (r.Kind == journal.KindResult && r.Job == st.ID)
+	}
+	if !found {
+		t.Error("terminal job visible before its result record is durable")
+	}
+
+	// /statz last: it reads journal stats, which wait on a write in flight.
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/statz", nil))
+	var stz Stats
+	if err := json.Unmarshal(rec.Body.Bytes(), &stz); err != nil {
+		t.Fatalf("/statz: %v", err)
+	}
+	if stz.Counters["cand.generated"] == 0 || stz.Counters["cand.evaluated"] == 0 {
+		t.Errorf("terminal job visible before its flow totals: %v", stz.Counters)
 	}
 }

@@ -309,7 +309,7 @@ func (s *Server) Close() error {
 type Stats struct {
 	Engine core.EngineStats `json:"engine"`
 	// Counters is the full registry snapshot: srv.* service counters plus
-	// cumulative cand.* / pruned.* / eval.cache.* search-flow totals
+	// cumulative cand.* / pruned.* search-flow totals
 	// accumulated across every finished job.
 	Counters map[string]uint64 `json:"counters"`
 	// Search is the cumulative search-flow snapshot in typed form.
@@ -861,63 +861,83 @@ func (s *Server) watch(j *job, cancel context.CancelFunc) (stop func()) {
 	return func() { once.Do(func() { close(stopped) }) }
 }
 
-// finalize records a job's terminal state, accumulates its search-flow
-// counters, journals the terminal result, and releases waiters (done
-// channel, SSE subscribers).
+// finalize ends a job. The order is what makes completion trustworthy: the
+// terminal values are staged first, the search-flow totals and the durable
+// result record land next, and only then does the job visibly turn
+// terminal — state and terminal SSE frame id in one j.mu section — before
+// waiters are released. A poller that sees a terminal state therefore also
+// sees its flow totals and frame id, and a restart replays the same
+// terminal status instead of re-running a job a client saw complete.
 func (s *Server) finalize(j *job, res core.Result, err error) {
 	// Durability contract: a job that ever journaled a checkpoint finishes
 	// no worse than that checkpoint. Chaos can degrade the resilient chain
 	// (or a resumed deadline can expire) past the journaled best — promote
 	// the checkpoint back to the result when that happens.
 	res, err = s.promoteCheckpoint(j, res, err)
-	j.mu.Lock()
-	j.finished = time.Now()
-	j.res = res
+
+	// 1. Stage the terminal values (and count the outcome).
+	o := outcome{finished: time.Now(), res: res}
 	if res.Mapping != nil {
 		if b, eerr := serde.EncodeMapping(res.Mapping); eerr == nil {
-			j.mapping = b
+			o.mapping = b
 		}
 	}
+	var state JobState
 	switch {
 	case err != nil:
-		j.state = JobFailed
-		j.err = err
+		state, o.err = JobFailed, err
 		if j.watchdogFired.Load() {
-			j.cause = core.CauseWatchdog
+			o.cause = core.CauseWatchdog
 		} else {
-			j.cause = core.ClassifyFailure(err, false)
+			o.cause = core.ClassifyFailure(err, false)
 		}
 		s.metrics.failed.Inc()
 	case j.userCanceled.Load():
-		j.state = JobCanceled
+		state = JobCanceled
 		s.metrics.canceled.Inc()
 	default:
-		j.state = JobDone
+		state = JobDone
 		if j.watchdogFired.Load() {
 			// Succeeded with a best-so-far mapping after the watchdog cut
 			// a stalled search: record why it stopped early.
-			j.cause = core.CauseWatchdog
+			o.cause = core.CauseWatchdog
 		}
 		s.metrics.done.Inc()
 	}
-	j.mu.Unlock()
-	s.metrics.addSearch(res.Stats)
-	// The terminal record reaches stable storage before waiters are
-	// released: once a client observes completion, a restart replays the
-	// same terminal status instead of re-running the job (no double
-	// completion). Append happens outside s.mu/j.mu — see the lock-order
-	// note on Server.jr.
+
+	// 2. Build the journaled status from the staged values. resultRec is
+	// set before the append so a compaction racing it keeps the result.
+	var rec []byte
 	if s.jr != nil {
-		st := j.status()
-		if b, merr := json.Marshal(st); merr == nil {
-			j.mu.Lock()
+		j.mu.Lock()
+		if b, merr := json.Marshal(j.statusLocked(state, o)); merr == nil {
+			rec = b
 			j.resultRec = b
-			j.mu.Unlock()
-			_ = s.jr.AppendDurable(journal.Record{Kind: journal.KindResult, Job: j.id, Payload: b})
 		}
+		j.mu.Unlock()
 	}
+
+	// 3. Account the search and make the result durable. The append runs
+	// outside s.mu/j.mu — see the lock-order note on Server.jr.
+	s.metrics.addSearch(res.Stats)
+	if rec != nil {
+		_ = s.jr.AppendDurable(journal.Record{Kind: journal.KindResult, Job: j.id, Payload: rec})
+	}
+
+	// 4. Publish the terminal state and frame id together, ending every
+	// SSE subscription.
+	j.mu.Lock()
+	j.state, j.out = state, o
+	j.evseq++
+	j.terminalID = j.evseq
+	for ch := range j.subs {
+		close(ch)
+		delete(j.subs, ch)
+	}
+	j.mu.Unlock()
+
+	// 5. Release the waiters.
 	close(j.done)
-	j.closeSubs()
 }
 
 // ---- metrics ----
@@ -934,8 +954,7 @@ type metrics struct {
 	// search accumulates every finished job's Result.Stats into
 	// service-lifetime flow totals, under the canonical cand.*/pruned.*
 	// names so /statz, expvar, and tests key on the same strings.
-	search                 *obs.SearchCounters
-	cacheHits, cacheMisses *obs.Counter
+	search *obs.SearchCounters
 }
 
 func newMetrics() *metrics {
@@ -955,8 +974,6 @@ func newMetrics() *metrics {
 		idemHits:    reg.Counter(obs.CtrSrvIdemHit),
 		checkpoints: reg.Counter(obs.CtrSrvCheckpoint),
 		search:      obs.NewSearchCounters(reg),
-		cacheHits:   reg.Counter(obs.CtrCacheHits),
-		cacheMisses: reg.Counter(obs.CtrCacheMisses),
 	}
 }
 
@@ -970,8 +987,6 @@ func (m *metrics) addSearch(st obs.SearchStats) {
 	m.search.PrunedUnrolling.Add(st.PrunedUnrolling)
 	m.search.PrunedBound.Add(st.PrunedBound)
 	m.search.PrunedBeam.Add(st.PrunedBeam)
-	m.cacheHits.Add(st.EvalCacheHits)
-	m.cacheMisses.Add(st.EvalCacheMisses)
 }
 
 // ---- wire helpers ----

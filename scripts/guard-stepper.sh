@@ -23,6 +23,11 @@
 #    internal/cost declares Flows, pairFlow, computeFlow, passCount or
 #    loopsBetween again, so a second production model cannot come back
 #    unnoticed.
+# 4. The cost model keeps no per-mapping result cache: EvaluateEDP scores
+#    every call, because a search scores only a few hundred mappings. The
+#    guard fails if a non-test Go file declares the removed memo's pieces
+#    again — cacheShard, CountCacheInto, CacheCounters, SiteCacheGet or
+#    CtrCacheHits — as a type, function, method, constant or variable.
 #
 # Run from anywhere: ./scripts/guard-stepper.sh
 set -eu
@@ -67,5 +72,14 @@ for f in internal/cost/*.go; do
 		status=1
 	fi
 done
+
+# The removed search-wide evaluation memo, declared outside the tests.
+memo='cacheShard|CountCacheInto|CacheCounters|SiteCacheGet|CtrCacheHits'
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+	"(${decl}|^(type|const|var)[[:space:]]+|^[[:space:]]+)($memo)\b([[:space:]]*[=(]|[[:space:]]+[^[:space:]=])" . ; then
+	echo "guard-stepper: the evaluation memo is gone; EvaluateEDP scores every call" >&2
+	echo "(a search scores a few hundred mappings — scoring again beats caching)" >&2
+	status=1
+fi
 
 exit $status

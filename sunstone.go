@@ -233,9 +233,8 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 
 // SearchStats is the telemetry-counter snapshot published in Result.Stats:
 // candidate flow (generated, pruned by each algebraic principle, deduped,
-// evaluated, skipped), post-evaluation alpha-beta/beam cuts, and the
-// fast-path evaluator's memo-cache hits and misses. For a run that was not
-// canceled, Generated == Pruned() + Deduped + Evaluated.
+// evaluated, skipped) and post-evaluation alpha-beta/beam cuts. For a run
+// that was not canceled, Generated == Pruned() + Deduped + Evaluated.
 type SearchStats = core.SearchStats
 
 // Progress streaming types for Options.Progress (see internal/obs).
@@ -292,7 +291,7 @@ func Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 func Evaluate(m *Mapping) Report { return cost.Evaluate(m) }
 
 // CostSession is the cost model compiled for one (workload, arch) pair:
-// its precomputed tables and a memoization cache shared by its evaluators.
+// precomputed tables that any number of evaluators share.
 // Solve builds one internally per run; build one yourself (NewCostSession)
 // to score many mappings of the same workload on the same architecture —
 // CostEvaluator.EvaluateEDP returns the scalars without allocating, and
